@@ -1,20 +1,33 @@
 """Solvers for the weighted p-power programs behind modulus, minimal
 gradients and capacity.
 
-All programs have the shape
+Every program is the one shape
 
-    minimize    sum_j m_j x_j^p      over x in a box,
-    subject to  (linear rows) >= rhs,
+    minimize    sum_j m_j z_j^p      over lo <= z <= hi   (0 <= lo),
+    subject to  G z >= rhs,
 
-with nonnegative rows in the pure-density case.  For p > 1 the Lagrange dual
-is smooth and concave and is maximized by projected gradient ascent with
-backtracking and Nesterov momentum, plus an opportunistic Newton polish on
-the active rows; the primal minimizer of the Lagrangian is available in
-closed form, and feasible primal candidates are recovered by scaling.  For
-p = 1 the program is linear and a primal-dual hybrid gradient iteration is
-used.  Every path reports a certified relative primal-dual gap, so callers
-can trust ``value`` as an upper bound and ``dual_value`` as a lower bound of
-the true optimum.
+modulus and gradients with ``G = A`` (nonnegative rows) and the box
+``[0, inf)``, capacity with ``z = (f, rho)``, ``G = [[S, C], [-S, C]]`` and
+the capacity box on ``f``.  One preconditioning serves both cores: the
+substitution ``u = m^(1/p) z`` makes the objective isotropic, every row is
+divided by its largest coefficient and the instance is normalized by its
+largest right-hand side or lower bound.  All three are exact
+reformulations that map back by the column, row and global scales.
+
+For p > 1 the Lagrange dual is smooth and concave; ``_ascent`` maximizes it
+by projected gradient ascent with backtracking and Nesterov momentum, and
+every 250 iterations tries Newton steps on the active rows.  The dual
+Hessian there is ``-B B^T`` with ``B = G_act diag(dz)^(1/2)`` on the free
+columns, of rank at most n, so the step is taken in its column space: the
+least-squares solution through the n x n Gram matrix ``B^T B``.  For p = 1
+the program is linear and ``_pdhg`` runs a primal-dual hybrid gradient
+iteration (Chambolle & Pock, 2011).
+
+Both cores recover feasible primal points by one scale factor on the
+columns that ``G`` and the box show to be nonnegative with box ``[0, inf)``
+(all of ``x``, or ``rho``), and report a certified relative primal-dual gap,
+so callers can trust ``value`` as an upper bound and ``dual_value`` as a
+lower bound of the true optimum.
 """
 
 from __future__ import annotations
@@ -24,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SolveResult", "CapacitySolveResult", "solve_nonneg", "solve_capacity"]
+__all__ = ["SolveResult", "solve_nonneg", "solve_capacity"]
 
 _TINY = 1e-300
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -40,21 +54,12 @@ class SolveResult:
     converged: bool
 
 
-@dataclass
-class CapacitySolveResult:
-    value: float
-    f: np.ndarray
-    rho: np.ndarray
-    gap: float
-    dual_value: float
-    iterations: int
-    converged: bool
-
-
 def _rel_gap(primal: float, dual: float) -> float:
+    # roundoff can put the dual a few ulps above the primal; the values
+    # themselves are reported unchanged
     if not math.isfinite(primal):
         return math.inf
-    return (primal - dual) / max(primal, _TINY)
+    return max(0.0, (primal - dual) / max(primal, _TINY))
 
 
 def _power_norm(A: np.ndarray, iters: int = 40) -> float:
@@ -100,30 +105,89 @@ def solve_nonneg(
         return SolveResult(0.0, np.zeros(n), np.zeros(0), 0.0, 0.0, 0, True)
     if np.any(rhs <= 0):
         raise ValueError("solve_nonneg needs strictly positive right-hand sides")
-    row_mass = A.sum(axis=1)
-    if np.any(row_mass <= 0):
+    if np.any(A.sum(axis=1) <= 0):
         raise ValueError("solve_nonneg needs rows with positive coefficients")
     if p < 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
-
-    # precondition: substitute u = m^(1/p) x so the objective is isotropic,
-    # then equilibrate rows; both are exact reformulations (the dual maps
-    # back by the row scales), and neither involves rhs, so the solve stays
-    # exactly equivariant under scaling of rhs
     col = m ** (-1.0 / p)
-    B = A * col[None, :]
-    row = B.max(axis=1)
-    B = B / row[:, None]
+    return _solve(A * col[None, :], rhs, col, p, np.zeros(n), np.full(n, math.inf), tol, max_iter)
+
+
+def solve_capacity(
+    C: np.ndarray,
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+    m: np.ndarray,
+    p: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float = 1e-6,
+    max_iter: int | None = None,
+) -> SolveResult:
+    """Minimize ``sum m f^p + sum m rho^p`` subject to the two-sided rows
+    ``|f(b_j) - f(a_j)| <= C_j . rho`` with ``f`` in the box ``[lo, hi]`` and
+    ``rho >= 0``.
+
+    ``C`` holds nonnegative path-integral coefficients; rows for curves with
+    equal endpoints are harmless.  The box encodes the capacity constraints
+    (``lo = 1`` on the target set, ``hi = 1`` in truncated mode).  The
+    result's ``x`` is ``(f, rho)`` concatenated.
+    """
+    C = np.asarray(C, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if p < 1.0:
+        raise ValueError(f"p must be at least 1, got {p}")
+    k, n = C.shape
+    # rows over z = (f, rho):  +-(f(a_j) - f(b_j)) + C_j . rho >= 0
+    G = np.zeros((2 * k, 2 * n))
+    rows = np.arange(k)
+    for sign, block in ((1.0, rows), (-1.0, rows + k)):
+        G[block, n:] = C
+        G[block, a_idx] = sign
+        G[block, b_idx] -= sign
+    col = np.concatenate([m, m]) ** (-1.0 / p)
+    G *= col[None, :]
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    res = _solve(
+        G, np.zeros(2 * k), col, p, np.concatenate([lo, np.zeros(n)]),
+        np.concatenate([hi, np.full(n, math.inf)]), tol, max_iter,
+    )
+    # the scalings move f off the box by roundoff; put it back exactly
+    np.clip(res.x[:n], lo, hi, out=res.x[:n])
+    return res
+
+
+def _solve(
+    G: np.ndarray,
+    rhs: np.ndarray,
+    col: np.ndarray,
+    p: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+    max_iter: int | None,
+) -> SolveResult:
+    """Shared front end over ``u = z / col``; ``G`` arrives column-scaled
+    and is row-scaled in place."""
+    k, n = G.shape
+    lo, hi = lo / col, hi / col
+    if k == 0:
+        value = float((lo**p).sum())
+        return SolveResult(value, lo * col, np.zeros(0), 0.0, value, 0, True)
+    row = np.maximum(G.max(axis=1), -G.min(axis=1))
+    G /= row[:, None]
     r = rhs / row
-
-    scale = float(r.max())
-    r = r / scale
-
-    ones = np.ones(n)
+    scale = max(float(r.max()), float(lo.max()))
+    r /= scale
+    lo /= scale
+    hi /= scale
+    # the columns a single scale factor can push to feasibility
+    J = (G.min(axis=0) >= 0) & (lo == 0) & np.isinf(hi)
     if p == 1.0:
-        res = _solve_nonneg_lp(B, r, ones, tol, max_iter or 400_000)
+        res = _pdhg(G, r, lo, hi, J, tol, max_iter or 400_000)
     else:
-        res = _solve_nonneg_power(B, r, ones, p, tol, max_iter or 60_000)
+        res = _ascent(G, r, lo, hi, J, p, tol, max_iter or 60_000)
     res.value *= scale**p
     res.dual_value *= scale**p
     res.x = res.x * (scale * col)
@@ -131,59 +195,81 @@ def solve_nonneg(
     return res
 
 
-def _solve_nonneg_power(
-    A: np.ndarray,
+def _recover(G: np.ndarray, rhs: np.ndarray, J: np.ndarray, z: np.ndarray, Gz: np.ndarray):
+    """Feasible point from ``z`` by one scale factor on the columns ``J``,
+    or None when no factor makes it feasible.  ``Gz`` is ``G @ z``."""
+    if J.all():
+        # the modulus and gradient case, where every rhs is positive
+        smin = float((Gz / rhs).min())
+        return z / smin if smin > 0 else None
+    zJ = np.where(J, z, 0.0)
+    a = G @ zJ
+    fixed = z - zJ
+    need = rhs - G @ fixed
+    # a row that the fixed columns meet up to roundoff counts as met (row
+    # scaling bounds every coefficient by 1); scaling zJ against that noise
+    # would blow it up
+    pos = need > 16 * _EPS * float(np.abs(fixed).max())
+    if not pos.any():
+        return np.where(J, 0.0, z)
+    smin = float((a[pos] / need[pos]).min())
+    if smin <= 0:
+        return None
+    return np.where(J, z / smin, z)
+
+
+def _ascent(
+    G: np.ndarray,
     rhs: np.ndarray,
-    m: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    J: np.ndarray,
     p: float,
     tol: float,
     max_iter: int,
 ) -> SolveResult:
-    k, n = A.shape
+    """Accelerated projected dual ascent with Newton polish (p > 1)."""
+    k, n = G.shape
     q = p / (p - 1.0)
     expo = 1.0 / (p - 1.0)
-    pm = p * m
+    # with every column in J the box is [0, inf), the dual is homogeneous
+    # along rays and every multiplier can be rescaled to its best multiple
+    cone = bool(J.all())
 
-    def primal_of(w: np.ndarray) -> tuple[np.ndarray, float]:
-        x = (np.maximum(w, 0.0) / pm) ** expo
-        return x, float((m * x**p).sum())
+    def primal_of(w: np.ndarray) -> np.ndarray:
+        # argmin of  z^p - w z  over the box, componentwise
+        return np.minimum(np.maximum(lo, (np.maximum(w, 0.0) / p) ** expo), hi)
 
-    def dual_value(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-        w = A.T @ y
-        x, F = primal_of(w)
-        slack = A @ x
-        g = float(y @ rhs) - (p - 1.0) * F
-        return g, x, slack, F
+    def dual_value(y: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+        """(g(y), y.rhs, Lagrangian minimizer z, G z, G^T y)."""
+        w = G.T @ y
+        z = primal_of(w)
+        S = float(y @ rhs)
+        return S + float((z**p - w * z).sum()), S, z, G @ z, w
 
     def newton_polish(y: np.ndarray, g_now: float) -> tuple[np.ndarray, float]:
         """Newton steps on the smooth dual restricted to the active rows.
 
-        The dual Hessian is -A diag(x'(w)) A^T; steps are accepted only when
-        the true dual value increases, so this can only tighten certificates.
+        The dual Hessian is -B B^T with B = G_act diag(dz)^(1/2) on the free
+        columns; the step solves it in the least-squares sense through the
+        Gram matrix B^T B.  Steps are accepted only when the true dual value
+        increases, so this can only tighten certificates.
         """
         y = y.copy()
-        cap = max(200, 4 * n)
         for _ in range(12):
-            w = A.T @ y
-            x, _ = primal_of(w)
-            slack = A @ x
-            grad = rhs - slack
+            _, _, z, Gz, w = dual_value(y)
+            grad = rhs - Gz
             act = (y > 0) | (grad > 0)
-            if not act.any() or int(act.sum()) > cap:
-                # an oversized active set means the iterate is still far out;
-                # leave the polishing to a later, cheaper round
+            free = (w > 0) & (z > lo) & (z < hi)
+            if not act.any() or not free.any():
                 break
-            wa = np.maximum(w, 0.0)
-            with np.errstate(divide="ignore"):
-                dx = np.where(wa > 0, expo * (wa / pm) ** expo / np.maximum(wa, _TINY), 0.0)
-            Aa = A[act]
-            H = (Aa * dx[None, :]) @ Aa.T
-            ridge = 1e-12 * max(1.0, float(np.trace(H)) / max(H.shape[0], 1))
-            H[np.diag_indices_from(H)] += ridge
-            try:
-                step = np.linalg.solve(H, grad[act])
-            except np.linalg.LinAlgError:
-                break
+            B = G[np.ix_(act, free)]
+            B *= np.sqrt(expo * z[free] / w[free])[None, :]
+            lam, V = np.linalg.eigh(B.T @ B)
+            keep = lam > lam[-1] * n * _EPS
+            V = V[:, keep]
+            step = B @ (V @ ((V.T @ (B.T @ grad[act])) / lam[keep] ** 2))
+            del B  # hold the k_act x n block only while the step is made
             improved = False
             t = 1.0
             for _ in range(30):
@@ -199,23 +285,35 @@ def _solve_nonneg_power(
                 break
         return y, g_now
 
-    def rescaled(y: np.ndarray, S: float, F: float) -> tuple[float, float]:
-        # g(alpha*y) is maximized at alpha = (S / (p F))**(p-1); returns (alpha, value)
-        if F <= 0 or S <= 0:
-            return 1.0, float(S - (p - 1.0) * F)
-        alpha = (S / (p * F)) ** (p - 1.0)
-        return alpha, float(alpha * S - (p - 1.0) * alpha**q * F)
+    best_primal = math.inf
+    best_z = lo.copy()
+    best_dual = -math.inf
+    best_y = np.zeros(k)
+
+    def certify(y: np.ndarray, g: float, S: float, z: np.ndarray, Gz: np.ndarray) -> None:
+        nonlocal best_primal, best_z, best_dual, best_y
+        zr = _recover(G, rhs, J, z, Gz)
+        if zr is not None:
+            P = float((zr**p).sum())
+            if P < best_primal:
+                best_primal, best_z = P, zr
+        alpha = 1.0
+        E = g - S
+        if cone and S > 0 and E < 0:
+            # g(alpha y) = alpha S + alpha^q E is largest at this alpha
+            alpha = (S / (-q * E)) ** (p - 1.0)
+            g = alpha * S + alpha**q * E
+        if g > best_dual:
+            best_dual, best_y = g, alpha * y
 
     y = np.zeros(k)
     yv = y.copy()
-    g_y = 0.0
+    g_y = float((lo**p).sum())  # g(0): z = lo
     t_mom = 1.0
-    step = 1.0 / max(1.0, float(np.abs(A).sum(axis=0).max()))
-
-    best_primal = math.inf
-    best_x = np.zeros(n)
-    best_dual = 0.0
-    best_y = np.zeros(k)
+    # largest column 1-norm, summed in row blocks so that no second k x n
+    # array is made
+    colsum = sum(np.abs(G[i : i + 4096]).sum(axis=0) for i in range(0, k, 4096))
+    step = 1.0 / max(1.0, float(colsum.max()))
     it = 0
     converged = False
 
@@ -227,26 +325,13 @@ def _solve_nonneg_power(
                 y, g_y = y_pol, g_pol
                 yv = y.copy()
                 t_mom = 1.0
-        g_v, x_v, slack_v, F_v = dual_value(yv)
-
-        # certificates at the extrapolated point
-        ratios = slack_v / rhs
-        smin = float(ratios.min())
-        if smin > 0:
-            P = F_v / smin**p
-            if P < best_primal:
-                best_primal = P
-                best_x = x_v / smin
-        S_v = float(yv @ rhs)
-        alpha, D = rescaled(yv, S_v, F_v)
-        if D > best_dual:
-            best_dual = D
-            best_y = alpha * yv
+        g_v, S_v, z_v, Gz_v, _ = dual_value(yv)
+        certify(yv, g_v, S_v, z_v, Gz_v)
         if _rel_gap(best_primal, best_dual) <= tol:
             converged = True
             break
 
-        grad = rhs - slack_v
+        grad = rhs - Gz_v
         # backtracking ascent step from the extrapolated point
         g_new = -math.inf
         y_new = yv
@@ -272,305 +357,76 @@ def _solve_nonneg_power(
     if not converged:
         # final polish before reporting the best-effort certificate
         y_pol, g_pol = newton_polish(y, g_y)
-        _, x_pol, slack_pol, F_pol = dual_value(y_pol)
-        smin = float((slack_pol / rhs).min())
-        if smin > 0 and F_pol / smin**p < best_primal:
-            best_primal = F_pol / smin**p
-            best_x = x_pol / smin
-        alpha, D = rescaled(y_pol, float(y_pol @ rhs), F_pol)
-        if D > best_dual:
-            best_dual = D
-            best_y = alpha * y_pol
+        certify(y_pol, *dual_value(y_pol)[:4])
     if not math.isfinite(best_primal):
         # no feasible candidate surfaced; force one from the last iterate
-        w = A.T @ np.maximum(y, 1.0)
-        x = (np.maximum(w, 1e-12) / pm) ** expo
-        smin = float((A @ x / rhs).min())
-        best_x = x / max(smin, _TINY)
-        best_primal = float((m * best_x**p).sum())
+        z = primal_of(np.maximum(G.T @ np.maximum(y, 1.0), 1e-12))
+        zr = _recover(G, rhs, J, z, G @ z)
+        if zr is not None:
+            best_primal, best_z = float((zr**p).sum()), zr
     gap = _rel_gap(best_primal, best_dual)
-    return SolveResult(
-        best_primal, best_x, best_y, gap, best_dual, it, converged or gap <= tol
-    )
+    return SolveResult(best_primal, best_z, best_y, gap, best_dual, it, converged or gap <= tol)
 
 
-def _solve_nonneg_lp(
-    A: np.ndarray,
+def _pdhg(
+    G: np.ndarray,
     rhs: np.ndarray,
-    m: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    J: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> SolveResult:
-    """Primal-dual hybrid gradient on  min m.x : Ax >= rhs, x >= 0."""
-    k, n = A.shape
-    L = _power_norm(A)
+    """Primal-dual hybrid gradient on  min sum z : G z >= rhs, z in the box
+    (p = 1)."""
+    k, n = G.shape
+    cost = np.ones(n)
+    unbounded = np.isinf(hi)
+    width = np.where(unbounded, 0.0, hi - lo)
+
+    def dual_value(y: np.ndarray) -> tuple[float, float]:
+        # shrink y until  cost - G^T y >= 0  on the unbounded columns; the
+        # Lagrangian minimum over the box is then finite
+        w = G.T @ y
+        over = unbounded & (w > cost)
+        alpha = float(np.min(cost[over] / w[over])) if over.any() else 1.0
+        alpha = min(1.0, alpha)
+        reduced = cost - alpha * w
+        box = float(reduced @ lo) + float(np.minimum(reduced, 0.0) @ width)
+        return alpha * float(y @ rhs) + box, alpha
+
+    L = _power_norm(G)
     tau = 0.95 / L
     sigma = 0.95 / L
-    x = np.zeros(n)
+    z = lo.copy()
     y = np.zeros(k)
-    xb = x.copy()
+    zb = z.copy()
 
     best_primal = math.inf
-    best_x = np.zeros(n)
-    best_dual = 0.0
+    best_z = z.copy()
+    best_dual = dual_value(y)[0]
     best_y = np.zeros(k)
     it = 0
     converged = False
 
     for it in range(1, max_iter + 1):
-        y = np.maximum(0.0, y + sigma * (rhs - A @ xb))
-        x_new = np.maximum(0.0, x - tau * (m - A.T @ y))
-        xb = 2.0 * x_new - x
-        x = x_new
-
-        if it % 25 == 0 or it == max_iter:
-            slack = A @ x
-            smin = float((slack / rhs).min())
-            if smin > 0:
-                P = float(m @ (x / smin))
-                if P < best_primal:
-                    best_primal = P
-                    best_x = x / smin
-            w = A.T @ y
-            over = w > m
-            alpha = float(np.min(m[over] / w[over])) if over.any() else 1.0
-            alpha = min(1.0, alpha)
-            D = alpha * float(y @ rhs)
-            if D > best_dual:
-                best_dual = D
-                best_y = alpha * y
-            if _rel_gap(best_primal, best_dual) <= tol:
-                converged = True
-                break
-
-    gap = _rel_gap(best_primal, best_dual)
-    return SolveResult(best_primal, best_x, best_y, gap, best_dual, it, converged)
-
-
-def solve_capacity(
-    C: np.ndarray,
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    m: np.ndarray,
-    p: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-) -> CapacitySolveResult:
-    """Minimize ``sum m f^p + sum m rho^p`` subject to the two-sided rows
-    ``|f(b_j) - f(a_j)| <= C_j . rho`` with ``f`` in the box ``[lo, hi]`` and
-    ``rho >= 0``.
-
-    ``C`` holds nonnegative path-integral coefficients; rows for curves with
-    equal endpoints are harmless.  The box encodes the capacity constraints
-    (``lo = 1`` on the target set, ``hi = 1`` in truncated mode).
-    """
-    C = np.asarray(C, dtype=float)
-    m = np.asarray(m, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    k, n = C.shape
-
-    if k == 0:
-        f = lo.copy()
-        value = float((m * f**p).sum())
-        return CapacitySolveResult(value, f, np.zeros(n), 0.0, value, 0, True)
-    if p == 1.0:
-        return _solve_capacity_lp(C, a_idx, b_idx, m, lo, hi, tol, max_iter or 400_000)
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
-    return _solve_capacity_power(C, a_idx, b_idx, m, p, lo, hi, tol, max_iter or 60_000)
-
-
-def _box_argmin(w: np.ndarray, pm: np.ndarray, expo: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """argmin of  m z^p - w z  over the box [lo, hi] (componentwise)."""
-    free = (np.maximum(w, 0.0) / pm) ** expo
-    return np.clip(free, lo, hi)
-
-
-def _solve_capacity_power(
-    C: np.ndarray,
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    m: np.ndarray,
-    p: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> CapacitySolveResult:
-    k, n = C.shape
-    expo = 1.0 / (p - 1.0)
-    pm = p * m
-    zero = np.zeros(n)
-    infbox = np.full(n, math.inf)
-
-    def pieces(y: np.ndarray):
-        yp, ym = y[:k], y[k:]
-        w_rho = C.T @ (yp + ym)
-        w_f = np.zeros(n)
-        np.add.at(w_f, a_idx, yp - ym)
-        np.add.at(w_f, b_idx, ym - yp)
-        f = _box_argmin(w_f, pm, expo, lo, hi)
-        rho = _box_argmin(w_rho, pm, expo, zero, infbox)
-        g = float(
-            (m * f**p - w_f * f).sum() + (m * rho**p - w_rho * rho).sum()
-        )
-        flow = C @ rho
-        df = f[b_idx] - f[a_idx]
-        rows = np.concatenate([flow - df, flow + df])
-        return g, f, rho, rows
-
-    def primal_candidate(f: np.ndarray, rho: np.ndarray) -> tuple[float, np.ndarray]:
-        need = np.abs(f[b_idx] - f[a_idx])
-        active = need > 1e-15
-        if not active.any():
-            return float((m * f**p).sum()), np.zeros(n)
-        have = (C[active] @ rho) / need[active]
-        smin = float(have.min())
-        if smin <= 0:
-            return math.inf, rho
-        rr = rho / smin
-        return float((m * f**p).sum() + (m * rr**p).sum()), rr
-
-    y = np.zeros(2 * k)
-    yv = y.copy()
-    g_y, f0, rho0, _ = pieces(y)
-    t_mom = 1.0
-    step = 1.0 / max(1.0, float(np.abs(C).sum()) / max(k, 1))
-
-    best_primal, best_rho0 = primal_candidate(f0, rho0)
-    best_f = f0.copy()
-    best_rho = best_rho0
-    best_dual = g_y
-    it = 0
-    converged = False
-
-    for it in range(1, max_iter + 1):
-        g_v, f_v, rho_v, rows_v = pieces(yv)
-
-        if g_v > best_dual:
-            best_dual = g_v
-        P, rr = primal_candidate(f_v, rho_v)
-        if P < best_primal:
-            best_primal = P
-            best_f = f_v.copy()
-            best_rho = rr
-        if _rel_gap(best_primal, best_dual) <= tol:
-            converged = True
-            break
-
-        grad = -rows_v
-        g_new = -math.inf
-        y_new = yv
-        for _ in range(60):
-            y_new = np.maximum(0.0, yv + step * grad)
-            diff = y_new - yv
-            g_new = pieces(y_new)[0]
-            if g_new >= g_v + float(grad @ diff) - 0.5 / step * float(diff @ diff) - 1e-18:
-                break
-            step *= 0.5
-        if g_new < g_y - 1e-15 * max(1.0, abs(g_y)):
-            yv = y.copy()
-            t_mom = 1.0
-            continue
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        yv = np.maximum(0.0, y_new + ((t_mom - 1.0) / t_new) * (y_new - y))
-        y = y_new
-        g_y = g_new
-        t_mom = t_new
-        step *= 1.15
-
-    gap = _rel_gap(best_primal, best_dual)
-    return CapacitySolveResult(
-        best_primal, best_f, best_rho, gap, best_dual, it, converged or gap <= tol
-    )
-
-
-def _solve_capacity_lp(
-    C: np.ndarray,
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    m: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> CapacitySolveResult:
-    """PDHG on the linear capacity program (p = 1)."""
-    k, n = C.shape
-    # rows over z = (f, rho): [sgn * (e_a - e_b), C_j]
-    S = np.zeros((k, n))
-    for j in range(k):
-        S[j, a_idx[j]] += 1.0
-        S[j, b_idx[j]] -= 1.0
-    G = np.block([[S, C], [-S, C]])
-    cost = np.concatenate([m, m])
-    zlo = np.concatenate([lo, np.zeros(n)])
-    zhi = np.concatenate([hi, np.full(n, math.inf)])
-
-    L = _power_norm(G)
-    tau = 0.95 / L
-    sigma = 0.95 / L
-    z = np.clip(np.zeros(2 * n), zlo, zhi)
-    y = np.zeros(2 * k)
-    zb = z.copy()
-
-    unbounded = ~np.isfinite(zhi)
-    best_primal = math.inf
-    best_f = z[:n].copy()
-    best_rho = z[n:].copy()
-    best_dual = -math.inf
-    it = 0
-    converged = False
-
-    def dual_of(y: np.ndarray) -> float:
-        w = G.T @ y
-        over = unbounded & (w > cost)
-        alpha = float(np.min(cost[over] / w[over])) if over.any() else 1.0
-        alpha = min(1.0, alpha)
-        w = alpha * w
-        c_minus_w = cost - w
-        vals = np.where(
-            np.isfinite(zhi),
-            np.minimum(c_minus_w * zlo, c_minus_w * np.where(np.isfinite(zhi), zhi, 0.0)),
-            c_minus_w * zlo,
-        )
-        return float(vals.sum())
-
-    for it in range(1, max_iter + 1):
-        y = np.maximum(0.0, y - sigma * (G @ zb))
-        z_new = np.clip(z - tau * (cost - G.T @ y), zlo, zhi)
+        y = np.maximum(0.0, y + sigma * (rhs - G @ zb))
+        z_new = np.minimum(np.maximum(lo, z - tau * (cost - G.T @ y)), hi)
         zb = 2.0 * z_new - z
         z = z_new
 
-        if it % 50 == 0 or it == max_iter:
-            f, rho = z[:n], z[n:]
-            need = np.abs(f[b_idx] - f[a_idx])
-            active = need > 1e-15
-            if active.any():
-                have = (C[active] @ rho) / need[active]
-                smin = float(have.min())
-                P = (
-                    float(m @ f + m @ (rho / smin)) if smin > 0 else math.inf
-                )
-                rr = rho / smin if smin > 0 else rho
-            else:
-                P = float(m @ f)
-                rr = np.zeros(n)
-            if P < best_primal:
-                best_primal = P
-                best_f = f.copy()
-                best_rho = rr
-            D = dual_of(y)
+        if it % 25 == 0 or it == max_iter:
+            zr = _recover(G, rhs, J, z, G @ z)
+            if zr is not None:
+                P = float(cost @ zr)
+                if P < best_primal:
+                    best_primal, best_z = P, zr
+            D, alpha = dual_value(y)
             if D > best_dual:
-                best_dual = D
+                best_dual, best_y = D, alpha * y
             if _rel_gap(best_primal, best_dual) <= tol:
                 converged = True
                 break
 
     gap = _rel_gap(best_primal, best_dual)
-    return CapacitySolveResult(
-        best_primal, best_f, best_rho, gap, best_dual, it, converged
-    )
+    return SolveResult(best_primal, best_z, best_y, gap, best_dual, it, converged)

@@ -371,8 +371,8 @@ def capacity(
     res = solve_capacity(
         A, a_idx, b_idx, space.measure_vector(), p, lo, hi, tol, max_iter
     )
-    f = {v: float(res.f[i]) for i, v in enumerate(space.vertices)}
-    rho = {v: float(res.rho[i]) for i, v in enumerate(space.vertices)}
+    f = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
+    rho = {v: float(res.x[n + i]) for i, v in enumerate(space.vertices)}
     return CapacityResult(
         res.value, f, rho, res.gap, truncated, res.iterations, res.converged
     )

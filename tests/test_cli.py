@@ -218,16 +218,15 @@ def test_selftest_and_output_file(files, capsys, tmp_path):
     assert payload["result"]["single_edge_modulus"] == pytest.approx(2.0, abs=1e-6)
 
 
-def test_threads_env_validation(files, capsys, monkeypatch):
-    _, p = files
-    monkeypatch.setenv("MODCALC_THREADS", "zero")
-    code, _, err = run(["space-validate", "--space", str(p["space"])], capsys)
-    assert code == 2
-    assert "MODCALC_THREADS" in json.loads(err)["error"]["message"]
-    monkeypatch.setenv("MODCALC_THREADS", "2")
-    code2, out, _ = run(["space-validate", "--space", str(p["space"])], capsys)
-    assert code2 == 0
-    assert json.loads(out)["config"]["threads"] == 2
+def test_artifact_independent_of_output_path(files, capsys):
+    tmp, p = files
+    argv = ["capacity", "--space", str(p["space"]), "--family", str(p["family"]),
+            "--E", str(p["E"]), "--p", "2"]
+    first, second = tmp / "first.json", tmp / "sub" / "second.json"
+    second.parent.mkdir()
+    assert run(argv + ["--output", str(first)], capsys)[0] == 0
+    assert run(argv + ["--output", str(second)], capsys)[0] == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_modulus_infinite_value(files, capsys, tmp_path):

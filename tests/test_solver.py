@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_min_power
+from modcalc import MetricMeasureSpace, capacity, connecting_family, grid_space
 from modcalc._solver import solve_capacity, solve_nonneg
 
 
@@ -36,6 +37,7 @@ def test_certificate_sandwich_random_instances():
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         res = solve_nonneg(A, rhs, m, p, 1e-7)
         assert res.converged
+        assert res.gap >= 0.0
         # returned point is feasible and matches the reported value
         assert np.all(A @ res.x >= rhs * (1 - 1e-9))
         assert res.value == pytest.approx(float((m * res.x**p).sum()), rel=1e-12)
@@ -68,6 +70,8 @@ def test_capacity_solver_matches_direct_formula():
     hi = np.array([1.0, 1.0])
     res = solve_capacity(C, a_idx, b_idx, m, 2.0, lo, hi, 1e-9)
     assert res.converged
+    f = res.x[:2]
+    assert np.all(f >= lo) and np.all(f <= hi)  # exactly in the box
     # the joint optimum is interior: f(b) in (0, 1); check stationarity by
     # comparison with a fine scan over f(b)
     best = math.inf
@@ -87,3 +91,39 @@ def test_scaling_equivariance_exact():
         scaled = solve_nonneg(A, lam * rhs, m, 1.5, 1e-8)
         assert scaled.value == pytest.approx(base.value * lam**1.5, rel=1e-12)
         assert np.allclose(scaled.x, lam * base.x, rtol=1e-12, atol=0)
+
+
+def _relabelled(space, seed):
+    """Copy of ``space`` with shuffled vertex names, vertex order and edge
+    order, and the map from old to new names."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(len(space))]
+    rng.shuffle(names)
+    lab = dict(zip(space.vertices, names))
+    order = list(space.vertices)
+    rng.shuffle(order)
+    edges = [(lab[u], lab[v], length) for u, v, length in space.edges]
+    rng.shuffle(edges)
+    measure = {lab[v]: space.measure[v] for v in order}
+    return MetricMeasureSpace([lab[v] for v in order], edges, measure), lab
+
+
+def test_capacity_grid_5x5_simple_p2_converges():
+    s = grid_space(5, 5)
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    res = capacity(s, ["0,0"], fam, 2.0, 1e-6, max_iter=2000)
+    assert res.converged and res.gap <= 1e-6
+
+
+@pytest.mark.parametrize("n, p", [(3, 1.5), (5, 2.0)])
+def test_capacity_independent_of_vertex_labels(n, p):
+    # neither convergence nor the value may depend on vertex names and order
+    base = grid_space(n, n)
+    brackets = []
+    for seed in range(4):
+        s, lab = _relabelled(base, seed)
+        fam = connecting_family(s, s.vertices, s.vertices, 3)
+        res = capacity(s, [lab["0,0"]], fam, p, 1e-6, max_iter=2000)
+        assert res.converged, (seed, res.iterations, res.gap)
+        brackets.append((res.value * (1.0 - res.gap), res.value))
+    assert max(lo for lo, _ in brackets) <= min(hi for _, hi in brackets) * (1 + 1e-12)
