@@ -40,7 +40,6 @@ class RunConfig:
     lam: int = 0
     tol: float = 1e-6
     max_hops: int = 3
-    seed: int = 0
     truncated: bool = False
     output: str | None = None
     csv_path: str | None = None
@@ -263,7 +262,6 @@ def main(argv: list[str] | None = None) -> int:
         if plan_in:
             sp.add_argument("--plan", required=True)
         sp.add_argument("--tol", type=float, default=1e-6)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("space-validate", help="validate a space file")
@@ -305,7 +303,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sp = sub.add_parser("selftest", help="deterministic smoke battery")
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default=None)
 
     args = parser.parse_args(argv)
@@ -325,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
             lam=getattr(args, "lam", 0),
             tol=getattr(args, "tol", 1e-6),
             max_hops=getattr(args, "max_hops", 3),
-            seed=getattr(args, "seed", 0),
             truncated=getattr(args, "truncated", False),
             output=getattr(args, "output", None),
             csv_path=getattr(args, "csv", None),

@@ -8,6 +8,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -94,13 +96,6 @@ class AtomicMeasureOnCurve:
     def total_variation(self) -> float:
         return float(sum(abs(a) for a in self.atoms))
 
-    def by_vertex(self, curve: DiscreteCurve) -> dict[str, float]:
-        """Aggregate atom masses onto the vertices they sit at."""
-        out: dict[str, float] = {}
-        for v, a in zip(curve.vertices, self.atoms):
-            out[v] = out.get(v, 0.0) + a
-        return out
-
 
 def validate_curve(space: MetricMeasureSpace, curve: DiscreteCurve) -> None:
     if len(curve.times) != len(curve.vertices) or not curve.vertices:
@@ -139,6 +134,61 @@ def make_curve(
     curve = DiscreteCurve(tuple(float(t) for t in times), vs)
     validate_curve(space, curve)
     return curve
+
+
+@dataclass(frozen=True)
+class _HopTable:
+    """Hops of a list of curves, in curve order then hop order: hop ``j`` runs
+    on curve ``cid[j]`` from vertex index ``u[j]`` to ``v[j]`` at distance
+    ``d[j]``; ``start`` and ``end`` index the endpoints of every curve."""
+
+    n: int
+    cid: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def matrix(self, lam: int) -> np.ndarray:
+        """Admissibility rows, one per curve: half of each hop length at u,
+        then at v, then for ``lam = 1`` one unit at each curve's start and
+        end, summed in the order a curve-by-curve loop adds them."""
+        k, n = len(self.start), self.n
+        keys = np.column_stack((self.cid * n + self.u, self.cid * n + self.v)).ravel()
+        coef = np.repeat(0.5 * self.d, 2)
+        if lam == 1:
+            at = np.arange(k) * n
+            ends = np.column_stack((at + self.start, at + self.end)).ravel()
+            keys, coef = np.concatenate((keys, ends)), np.concatenate((coef, np.ones(2 * k)))
+        return np.bincount(keys, coef, minlength=k * n).reshape(k, n)
+
+    def single_hops(self) -> "_HopTable":
+        """The table of every hop taken as a curve of its own."""
+        return _HopTable(self.n, np.arange(len(self.u)), self.u, self.v, self.d, self.u, self.v)
+
+    def path_integrals(self, rho: np.ndarray) -> np.ndarray:
+        """``path_integral`` of the vertex vector ``rho`` along every curve."""
+        ru, rv = rho[self.u], rho[self.v]
+        if (ru < 0).any() or (rv < 0).any():
+            raise CurveError("density must be nonnegative")
+        return np.bincount(self.cid, 0.5 * (ru + rv) * self.d, minlength=len(self.start))
+
+
+def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
+    idx = space.index
+    sizes = np.fromiter((len(c.vertices) for c in curves), np.intp, len(curves))
+    flat = np.fromiter((idx[x] for c in curves for x in c.vertices), np.intp, sizes.sum())
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    u, v = np.delete(flat, last), np.delete(flat, first)
+    cid = np.repeat(np.arange(len(curves)), sizes - 1)
+    # read space._dist in place: distance_matrix() would copy it
+    return _HopTable(len(space), cid, u, v, space._dist[u, v], flat[first], flat[last])
+
+
+def _on_vertices(space: MetricMeasureSpace, values: Mapping[str, float]) -> np.ndarray:
+    return np.array([float(values[x]) for x in space.vertices])
 
 
 def _hop_lengths(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:

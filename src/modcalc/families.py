@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -56,9 +57,19 @@ def _walks(
     max_hops: int,
     simple_only: bool,
     accept: Callable[[tuple[str, ...]], bool],
+    ends: Iterable[str],
 ) -> list[tuple[str, ...]]:
-    """Depth-first enumeration of edge walks, deterministic by sorted neighbors."""
+    """Depth-first enumeration of edge walks, deterministic by sorted neighbors.
+    Every accepted walk ends in ``ends``: a walk does not step to a vertex
+    farther (in hops) from ``ends`` than the hops it has left."""
     out: list[tuple[str, ...]] = []
+    to_ends = dict.fromkeys(ends, 0)  # breadth-first hop counts; absent: unreachable
+    queue = list(to_ends)
+    for u in queue:
+        for v, _ in space.neighbors(u):
+            if v not in to_ends:
+                to_ends[v] = to_ends[u] + 1
+                queue.append(v)
 
     def extend(seq: list[str]) -> None:
         if len(seq) > 1 and accept(tuple(seq)):
@@ -66,7 +77,7 @@ def _walks(
         if len(seq) - 1 >= max_hops:
             return
         for v, _ in space.neighbors(seq[-1]):
-            if simple_only and v in seq:
+            if (simple_only and v in seq) or to_ends.get(v, math.inf) > max_hops - len(seq):
                 continue
             seq.append(v)
             extend(seq)
@@ -95,7 +106,7 @@ def connecting_family(
         raise SpaceError("connecting_family needs nonempty endpoint sets")
     if max_hops < 1:
         raise SpaceError("max_hops must be at least 1")
-    seqs = _walks(space, src, max_hops, simple_only, lambda s: s[-1] in dst)
+    seqs = _walks(space, src, max_hops, simple_only, lambda s: s[-1] in dst, dst)
     curves = tuple(make_curve(space, s) for s in seqs)
     return CurveFamily(curves, label=f"connect({len(src)}->{len(dst)},h<={max_hops})")
 
@@ -116,6 +127,7 @@ def family_through(
         max_hops,
         True,
         lambda s: any(v in target for v in s),
+        space.vertices,
     )
     curves = tuple(make_curve(space, s) for s in seqs)
     return CurveFamily(curves, label=f"through({len(target)},h<={max_hops})")
@@ -135,9 +147,7 @@ def endpoints_in(
     anchor = space.check_subset(E)
     if not anchor:
         return CurveFamily((), label="endpoints(empty)")
-    seqs = _walks(
-        space, anchor, max_hops, False, lambda s: s[-1] in anchor
-    )
+    seqs = _walks(space, anchor, max_hops, False, lambda s: s[-1] in anchor, anchor)
     curves = [make_curve(space, (v,)) for v in sorted(anchor)]
     curves.extend(make_curve(space, s) for s in seqs)
     return CurveFamily(tuple(curves), label=f"endpoints({len(anchor)},h<={max_hops})")

@@ -7,7 +7,9 @@ import heapq
 import math
 from typing import Iterable, Mapping, TYPE_CHECKING
 
-from .curve import DiscreteCurve, path_integral
+import numpy as np
+
+from .curve import DiscreteCurve, _HopTable, _hop_table, _on_vertices
 from .space import MetricMeasureSpace, SpaceError
 
 if TYPE_CHECKING:
@@ -106,16 +108,18 @@ def is_upper_gradient(
     Returns the truth value and the worst violating curve (``None`` when the
     check passes).
     """
-    worst: DiscreteCurve | None = None
-    worst_violation = tol
-    for curve in family:
-        lhs = abs(float(f[curve.end]) - float(f[curve.start]))
-        rhs = path_integral(space, curve, rho)
-        violation = lhs - rhs
-        if violation > worst_violation:
-            worst_violation = violation
-            worst = curve
-    return worst is None, worst
+    curves = list(family)
+    table = _hop_table(space, curves)
+    i = _worst_curve(table, _on_vertices(space, f), _on_vertices(space, rho), tol)
+    return i is None, None if i is None else curves[i]
+
+
+def _worst_curve(table: _HopTable, f: np.ndarray, rho: np.ndarray, tol: float) -> int | None:
+    """Index of the first curve whose increment of ``f`` most exceeds the path
+    integral of ``rho``, if that is by more than ``tol`` (NaN never counts)."""
+    violation = np.abs(f[table.end] - f[table.start]) - table.path_integrals(rho)
+    over = np.flatnonzero(violation > tol)
+    return int(over[np.argmax(violation[over])]) if over.size else None
 
 
 def path_relax(

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._solver import solve_nonneg
-from .curve import DiscreteCurve, path_integral
+from .curve import DiscreteCurve, _hop_table, _on_vertices
 from .families import CurveFamily, family_through
 from .plans import Plan
 from .space import MetricMeasureSpace
@@ -18,7 +18,6 @@ from .space import MetricMeasureSpace
 __all__ = [
     "ModulusError",
     "ModulusResult",
-    "admissibility_row",
     "admissibility_matrix",
     "admissible_check",
     "modulus",
@@ -52,37 +51,17 @@ class ModulusResult:
     label: str = ""
 
 
-def admissibility_row(
-    space: MetricMeasureSpace, curve: DiscreteCurve, lam: int
-) -> np.ndarray:
-    """Coefficient vector of the admissibility constraint of one curve.
-
-    The trapezoid path integral contributes half of each adjacent hop length
-    at every breakpoint vertex; ``lam = 1`` adds one unit at each endpoint
-    (two units for a constant curve, whose endpoints coincide).  Rows depend
-    only on the vertex sequence, never on the parametrization.
-    """
-    row = np.zeros(len(space))
-    idx = space.index
-    vs = curve.vertices
-    for u, v in zip(vs, vs[1:]):
-        d = space.distance(u, v)
-        row[idx[u]] += 0.5 * d
-        row[idx[v]] += 0.5 * d
-    if lam == 1:
-        row[idx[curve.start]] += 1.0
-        row[idx[curve.end]] += 1.0
-    return row
-
-
 def admissibility_matrix(
     space: MetricMeasureSpace, family: CurveFamily | Iterable[DiscreteCurve], lam: int
 ) -> tuple[np.ndarray, list[DiscreteCurve]]:
+    """Admissibility rows of the family, one per curve: the trapezoid path
+    integral contributes half of each adjacent hop length at every breakpoint
+    vertex; ``lam = 1`` adds one unit at each endpoint
+    (two units for a constant curve, whose endpoints coincide).  Rows depend
+    only on the vertex sequence, never on the parametrization.
+    """
     curves = list(family)
-    rows = np.zeros((len(curves), len(space)))
-    for i, c in enumerate(curves):
-        rows[i] = admissibility_row(space, c, lam)
-    return rows, curves
+    return _hop_table(space, curves).matrix(lam), curves
 
 
 def admissible_check(
@@ -96,22 +75,18 @@ def admissible_check(
 
     ``lam * inf`` follows the convention that it vanishes when ``lam = 0``:
     endpoint values are simply not evaluated in that case, so a constant
-    curve makes the constraint unsatisfiable by any finite density.
+    curve makes the constraint unsatisfiable by any finite density.  A curve
+    whose slack is NaN counts as neither violated nor smallest.
     """
     if lam not in (0, 1):
         raise ModulusError(f"lambda must be 0 or 1, got {lam}")
-    min_slack = math.inf
-    ok = True
-    for curve in family:
-        lhs = path_integral(space, curve, rho)
-        if lam == 1:
-            lhs = lhs + float(rho[curve.start]) + float(rho[curve.end])
-        slack = lhs - 1.0
-        if slack < min_slack:
-            min_slack = slack
-        if slack < 0:
-            ok = False
-    return ok, min_slack
+    table = _hop_table(space, list(family))
+    r = _on_vertices(space, rho)
+    lhs = table.path_integrals(r)
+    if lam == 1:
+        lhs = lhs + r[table.start] + r[table.end]
+    slack = lhs - 1.0
+    return not (slack < 0).any(), float(np.fmin.reduce(slack, initial=math.inf))
 
 
 def modulus(

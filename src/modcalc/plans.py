@@ -7,13 +7,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .curve import (
     DiscreteCurve,
+    _HopTable,
+    _hop_table,
+    _on_vertices,
     cs_reparam,
     curve_from_json,
     curve_to_json,
     q_energy,
-    variation_measures,
     vertex_at,
 )
 from .lipschitz import asymptotic_slope
@@ -105,6 +109,12 @@ class BarycenterDensity:
         )
 
 
+def _weighted_table(space: MetricMeasureSpace, plan: Plan) -> tuple[_HopTable, np.ndarray]:
+    """Hop table of the support curves and their weights, in support order."""
+    table = _hop_table(space, [c for c, _ in plan.support])
+    return table, np.array([w for _, w in plan.support])
+
+
 def barycenter(space: MetricMeasureSpace, plan: Plan, lam: int = 0) -> BarycenterDensity:
     """Exact atomic density of the plan against the vertex measure.
 
@@ -113,17 +123,14 @@ def barycenter(space: MetricMeasureSpace, plan: Plan, lam: int = 0) -> Barycente
     """
     if lam not in (0, 1):
         raise PlanError(f"lambda must be 0 or 1, got {lam}")
-    acc = {v: 0.0 for v in space.vertices}
-    f0 = {v: 0.0 for v in space.vertices}
-    for curve, w in plan.support:
-        s_atoms, _, _ = variation_measures(space, curve, f0)
-        for v, a in s_atoms.by_vertex(curve).items():
-            acc[v] += w * a
-        if lam == 1:
-            acc[curve.start] += w
-            acc[curve.end] += w
+    table, w = _weighted_table(space, plan)
+    n = len(space)
+    half = w[table.cid] * 0.5 * table.d
+    acc = np.bincount(table.u, half, n) + np.bincount(table.v, half, n)
+    if lam == 1:
+        acc += np.bincount(table.start, w, n) + np.bincount(table.end, w, n)
     return BarycenterDensity(
-        {v: acc[v] / space.measure[v] for v in space.vertices}, lam
+        dict(zip(space.vertices, (acc / space.measure_vector()).tolist())), lam
     )
 
 
@@ -219,15 +226,13 @@ def plan_derivation(
 
     holds exactly by telescoping.
     """
-    b = {v: 0.0 for v in space.vertices}
-    div = {v: 0.0 for v in space.vertices}
-    for curve, w in plan.support:
-        _, mu, _ = variation_measures(space, curve, f)
-        for v, a in mu.by_vertex(curve).items():
-            b[v] += w * a
-        div[curve.start] += w
-        div[curve.end] -= w
-    return {v: b[v] / space.measure[v] for v in space.vertices}, div
+    table, w = _weighted_table(space, plan)
+    fv = _on_vertices(space, f)
+    n = len(space)
+    half = w[table.cid] * 0.5 * (fv[table.v] - fv[table.u])
+    b = (np.bincount(table.u, half, n) + np.bincount(table.v, half, n)) / space.measure_vector()
+    div = np.bincount(table.start, w, n) - np.bincount(table.end, w, n)
+    return dict(zip(space.vertices, b.tolist())), dict(zip(space.vertices, div.tolist()))
 
 
 def derivation_norm_bound(

@@ -10,11 +10,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._solver import solve_capacity, solve_nonneg
-from .curve import DiscreteCurve
+from .curve import DiscreteCurve, _hop_table, _on_vertices
 from .families import CurveFamily, connecting_family, explicit_family
-from .lipschitz import asymptotic_slope, is_upper_gradient, path_relax
-from .modulus import admissibility_matrix, modulus, optimal_plan
-from .plans import Plan, barycenter
+from .lipschitz import _worst_curve, asymptotic_slope, path_relax
+from .modulus import modulus, optimal_plan
+from .plans import Plan, _weighted_table, barycenter
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -73,12 +73,6 @@ class CapacityResult:
     converged: bool
 
 
-def _increments(f: Mapping[str, float], curves: Sequence[DiscreteCurve]) -> np.ndarray:
-    return np.array(
-        [abs(float(f[c.end]) - float(f[c.start])) for c in curves]
-    )
-
-
 def n_gradient(
     space: MetricMeasureSpace,
     f: Mapping[str, float],
@@ -98,13 +92,11 @@ def n_gradient(
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in [1, inf), got {p}")
     label = family.label if isinstance(family, CurveFamily) else ""
-    A, curves = admissibility_matrix(space, family, lam=0)
-    if curves:
-        rhs = _increments(f, curves)
-        keep = rhs > 0.0
-        A, rhs = A[keep], rhs[keep]
-    else:
-        rhs = np.zeros(0)
+    table = _hop_table(space, list(family))
+    fv = _on_vertices(space, f)
+    rhs = np.abs(fv[table.end] - fv[table.start])
+    keep = rhs > 0.0
+    A, rhs = table.matrix(0)[keep], rhs[keep]
     if A.shape[0] == 0:
         zeros = {v: 0.0 for v in space.vertices}
         return GradientResult(zeros, 0.0, 0.0, label, 0.0, "N", p, 0, True)
@@ -134,34 +126,12 @@ def hop_slope_density(
     Hop-level domination is stable under pointwise minima, which is how the
     minimum rule for gradients is exercised at finite scale.
     """
-    rho = {v: 0.0 for v in space.vertices}
-    for curve in family:
-        for u, w in zip(curve.vertices, curve.vertices[1:]):
-            ratio = abs(float(f[w]) - float(f[u])) / space.distance(u, w)
-            rho[u] = max(rho[u], ratio)
-            rho[w] = max(rho[w], ratio)
-    return rho
-
-
-def _hop_check(
-    space: MetricMeasureSpace,
-    f: Mapping[str, float],
-    rho: Mapping[str, float],
-    family: CurveFamily | Iterable[DiscreteCurve],
-    tol: float,
-) -> tuple[bool, DiscreteCurve | None, float]:
-    """Per-hop trapezoid domination: every hop increment of ``f`` is covered
-    by the endpoint average of ``rho`` times the hop length."""
-    worst: DiscreteCurve | None = None
-    worst_violation = tol
-    for curve in family:
-        for u, w in zip(curve.vertices, curve.vertices[1:]):
-            lhs = abs(float(f[w]) - float(f[u]))
-            rhs = 0.5 * (float(rho[u]) + float(rho[w])) * space.distance(u, w)
-            if lhs - rhs > worst_violation:
-                worst_violation = lhs - rhs
-                worst = curve
-    return worst is None, worst, worst_violation
+    table = _hop_table(space, list(family))
+    fv = _on_vertices(space, f)
+    ratio = np.abs(fv[table.v] - fv[table.u]) / table.d
+    rho = np.zeros(len(space))
+    np.maximum.at(rho, np.concatenate((table.u, table.v)), np.tile(ratio, 2))
+    return dict(zip(space.vertices, rho.tolist()))
 
 
 def ug_calculus(
@@ -188,42 +158,37 @@ def ug_calculus(
     Raises if ``rho_f`` or ``rho_g`` fails its own upper-gradient check.
     """
     curves = list(family)
-    ok_f, bad_f = is_upper_gradient(space, f, rho_f, curves, tol)
-    ok_g, bad_g = is_upper_gradient(space, g, rho_g, curves, tol)
-    if not ok_f or not ok_g:
+    table = _hop_table(space, curves)
+    fv, gv, rf, rg = (_on_vertices(space, x) for x in (f, g, rho_f, rho_g))
+
+    def worst(h: np.ndarray, rho: np.ndarray) -> DiscreteCurve | None:
+        i = _worst_curve(table, h, rho, tol)
+        return None if i is None else curves[i]
+
+    if worst(fv, rf) is not None or worst(gv, rg) is not None:
         raise ValueError("inputs are not upper gradients on the family")
 
-    values = sorted({float(f[v]) for v in space.vertices})
+    values = sorted(set(fv.tolist()))
     lip_phi = 0.0
     for i, a in enumerate(values):
         for b in values[i + 1 :]:
             lip_phi = max(lip_phi, abs(phi(b) - phi(a)) / (b - a))
 
-    f_plus_g = {v: float(f[v]) + float(g[v]) for v in space.vertices}
-    rho_sum = {v: float(rho_f[v]) + float(rho_g[v]) for v in space.vertices}
-    ok_sum, worst_sum = is_upper_gradient(space, f_plus_g, rho_sum, curves, tol)
+    worst_sum = worst(fv + gv, rf + rg)
+    worst_chain = worst(np.array([float(phi(x)) for x in fv.tolist()]), lip_phi * rf)
+    sup_f, sup_g = np.abs(fv).max(), np.abs(gv).max()
+    worst_leib = worst(fv * gv, sup_f * rg + sup_g * rf)
 
-    phi_f = {v: float(phi(float(f[v]))) for v in space.vertices}
-    rho_chain = {v: lip_phi * float(rho_f[v]) for v in space.vertices}
-    ok_chain, worst_chain = is_upper_gradient(space, phi_f, rho_chain, curves, tol)
-
-    sup_f = max(abs(float(f[v])) for v in space.vertices)
-    sup_g = max(abs(float(g[v])) for v in space.vertices)
-    fg = {v: float(f[v]) * float(g[v]) for v in space.vertices}
-    rho_leib = {
-        v: sup_f * float(rho_g[v]) + sup_g * float(rho_f[v]) for v in space.vertices
-    }
-    ok_leib, worst_leib = is_upper_gradient(space, fg, rho_leib, curves, tol)
-
-    rho2 = dict(rho_f_alt) if rho_f_alt is not None else hop_slope_density(space, f, curves)
-    rho_min = {v: min(float(rho_f[v]), float(rho2[v])) for v in space.vertices}
-    ok_min, worst_min, _ = _hop_check(space, f, rho_min, curves, tol)
+    rho2 = rho_f_alt if rho_f_alt is not None else hop_slope_density(space, f, curves)
+    rho_min = np.minimum(rf, _on_vertices(space, rho2))
+    j = _worst_curve(table.single_hops(), fv, rho_min, tol)
+    worst_min = None if j is None else curves[table.cid[j]]
 
     return {
-        "sum": {"ok": ok_sum, "worst": worst_sum},
-        "chain": {"ok": ok_chain, "worst": worst_chain, "lip_phi": lip_phi},
-        "leibniz": {"ok": ok_leib, "worst": worst_leib},
-        "min": {"ok": ok_min, "worst": worst_min},
+        "sum": {"ok": worst_sum is None, "worst": worst_sum},
+        "chain": {"ok": worst_chain is None, "worst": worst_chain, "lip_phi": lip_phi},
+        "leibniz": {"ok": worst_leib is None, "worst": worst_leib},
+        "min": {"ok": worst_min is None, "worst": worst_min},
     }
 
 
@@ -269,12 +234,7 @@ def h_gradient_sequence(
     grad = gradient or n_gradient(space, f, curves, p, tol)
     rho = grad.rho
     if delta is None:
-        delta = 0.0
-        for c in curves:
-            for u, w in zip(c.vertices, c.vertices[1:]):
-                delta = max(delta, space.distance(u, w))
-        if delta <= 0:
-            delta = max(space.diameter(), 1.0)
+        delta = float(_hop_table(space, curves).d.max(initial=0.0)) or max(space.diameter(), 1.0)
     if cap is None:
         cap = max(float(f[v]) for v in space.vertices)
     if not cap > 0:
@@ -314,21 +274,18 @@ def w_certificate(
 ) -> dict:
     """Integration-by-parts violations of a candidate gradient against plans.
 
-    For each plan computes ``sum_w (f(end) - f(start)) - sum_v Bar(plan) g m``;
+    For each plan computes ``sum_w (f(end) - f(start)) - sum_v Bar(plan) g m``,
+    that is the plan average of ``f(end) - f(start) - (path integral of g)``;
     a valid certificate keeps the maximum nonpositive up to solver slack.
     """
     if not plans:
         raise ValueError("w_certificate needs at least one plan")
+    fv, gv = _on_vertices(space, f), _on_vertices(space, g)
     per_plan: list[float] = []
     for plan in plans:
-        flux = sum(
-            w * (float(f[c.end]) - float(f[c.start])) for c, w in plan.support
-        )
-        bar = barycenter(space, plan, 0).values
-        mass = sum(
-            bar[v] * float(g[v]) * space.measure[v] for v in space.vertices
-        )
-        per_plan.append(float(flux - mass))
+        table, w = _weighted_table(space, plan)
+        flux = fv[table.end] - fv[table.start] - table.path_integrals(gv)
+        per_plan.append(float(w @ flux))
     return {"max_violation": max(per_plan), "per_plan": per_plan}
 
 
@@ -357,11 +314,7 @@ def capacity(
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in [1, inf), got {p}")
 
-    curves = [c for c in family if not c.is_constant]
-    A, _ = admissibility_matrix(space, explicit_family(curves), lam=0)
-    idx = space.index
-    a_idx = np.array([idx[c.start] for c in curves], dtype=int)
-    b_idx = np.array([idx[c.end] for c in curves], dtype=int)
+    table = _hop_table(space, [c for c in family if not c.is_constant])
     lo = np.array([1.0 if v in target else 0.0 for v in space.vertices])
     hi = (
         np.ones(n)
@@ -369,7 +322,7 @@ def capacity(
         else np.full(n, math.inf)
     )
     res = solve_capacity(
-        A, a_idx, b_idx, space.measure_vector(), p, lo, hi, tol, max_iter
+        table.matrix(0), table.start, table.end, space.measure_vector(), p, lo, hi, tol, max_iter
     )
     f = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
     rho = {v: float(res.x[n + i]) for i, v in enumerate(space.vertices)}

@@ -152,12 +152,10 @@ def oracle_capacity(space, E, curves, p, truncated):
     """scipy re-solve of the joint capacity program over (f, rho)."""
     import scipy.optimize as so
 
-    from modcalc.modulus import admissibility_row
-
     E = set(E)
     n = len(space)
     idx = space.index
-    rows = [admissibility_row(space, c, 0) for c in curves if not c.is_constant]
+    rows = [reference_row(space, c, 0) for c in curves if not c.is_constant]
     ends = [(idx[c.start], idx[c.end]) for c in curves if not c.is_constant]
     m = space.measure_vector()
 
@@ -224,6 +222,85 @@ def oracle_capacity(space, E, curves, p, truncated):
         )
     assert res.success, res.message
     return float(res.fun)
+
+
+# -- per-curve references for the family-level layers --------------------
+# These walk each curve hop by hop with ``space.distance``, the way the
+# curve-level definitions do, so the package's hop table is checked against
+# code that shares nothing with it.
+
+
+def _hops(curve: DiscreteCurve):
+    return zip(curve.vertices, curve.vertices[1:])
+
+
+def reference_row(space, curve, lam):
+    """Trapezoid admissibility row: half of each hop length at both hop
+    ends, then one unit at each endpoint for ``lam = 1``."""
+    row = np.zeros(len(space))
+    idx = space.index
+    for u, v in _hops(curve):
+        d = space.distance(u, v)
+        row[idx[u]] += 0.5 * d
+        row[idx[v]] += 0.5 * d
+    if lam == 1:
+        row[idx[curve.start]] += 1.0
+        row[idx[curve.end]] += 1.0
+    return row
+
+
+def reference_hop_slopes(space, f, curves):
+    rho = {v: 0.0 for v in space.vertices}
+    for curve in curves:
+        for u, v in _hops(curve):
+            ratio = abs(f[v] - f[u]) / space.distance(u, v)
+            rho[u] = max(rho[u], ratio)
+            rho[v] = max(rho[v], ratio)
+    return rho
+
+
+def reference_hop_check(space, f, rho, curves, tol):
+    """Verdict and first curve holding the largest hop violation above tol."""
+    worst, worst_violation = None, tol
+    for curve in curves:
+        for u, v in _hops(curve):
+            violation = abs(f[v] - f[u]) - 0.5 * (rho[u] + rho[v]) * space.distance(u, v)
+            if violation > worst_violation:
+                worst, worst_violation = curve, violation
+    return worst is None, worst
+
+
+def reference_barycenter(space, plan, lam):
+    acc = {v: 0.0 for v in space.vertices}
+    for curve, w in plan.support:
+        for u, v in _hops(curve):
+            acc[u] += w * 0.5 * space.distance(u, v)
+            acc[v] += w * 0.5 * space.distance(u, v)
+        if lam == 1:
+            acc[curve.start] += w
+            acc[curve.end] += w
+    return {v: acc[v] / space.measure[v] for v in space.vertices}
+
+
+def reference_derivation(space, plan, f):
+    b = {v: 0.0 for v in space.vertices}
+    div = {v: 0.0 for v in space.vertices}
+    for curve, w in plan.support:
+        for u, v in _hops(curve):
+            b[u] += w * 0.5 * (f[v] - f[u])
+            b[v] += w * 0.5 * (f[v] - f[u])
+        div[curve.start] += w
+        div[curve.end] -= w
+    return {v: b[v] / space.measure[v] for v in space.vertices}, div
+
+
+def mixed_curves(rng: random.Random, space: MetricMeasureSpace, k: int) -> list:
+    """``k`` random edge walks, which may revisit vertices, and two
+    constant curves, shuffled."""
+    curves = [random_edge_walk(rng, space, 5) for _ in range(k)]
+    curves += [make_curve(space, [v]) for v in rng.sample(space.vertices, 2)]
+    rng.shuffle(curves)
+    return curves
 
 
 def nx_graph(space: MetricMeasureSpace):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from modcalc import (
     connecting_family,
     endpoints_in,
     family_through,
+    grid_space,
     path_space,
 )
 from modcalc.curve import validate_curve
@@ -97,6 +99,29 @@ def test_counts_match_brute_force():
             | {(v,) for v in E}
         )
         assert [c.vertices for c in got_e] == want_e
+
+
+def test_pruning_by_hop_distance_keeps_the_family():
+    # walks are not extended where F is out of hop reach; the family must
+    # equal the unpruned one (targets = every vertex) filtered by its end
+    rng = random.Random(42)
+    for _ in range(10):
+        s = random_connected_space(rng, rng.randint(4, 9), extra_edges=1)
+        hops = rng.randint(2, 6)
+        E = rng.sample(s.vertices, rng.randint(1, 3))
+        F = set(rng.sample(s.vertices, rng.randint(1, 2)))
+        for simple in (False, True):
+            got = connecting_family(s, E, F, hops, simple)
+            every = connecting_family(s, E, s.vertices, hops, simple)
+            assert [c.vertices for c in got] == [
+                c.vertices for c in every if c.end in F
+            ]
+        got_e = [c.vertices for c in endpoints_in(s, F, hops) if not c.is_constant]
+        every = connecting_family(s, F, s.vertices, hops)
+        assert got_e == [c.vertices for c in every if c.end in F]
+
+    g = grid_space(8, 8)
+    assert len(connecting_family(g, ["0,0"], ["7,7"], 14)) == math.comb(14, 7)
 
 
 def test_monotone_in_max_hops():

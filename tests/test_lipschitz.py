@@ -4,12 +4,14 @@ import random
 import pytest
 
 from helpers import (
+    mixed_curves,
     oracle_path_relax,
     random_connected_space,
     random_edge_walk,
     random_function,
 )
 from modcalc import (
+    CurveError,
     SpaceError,
     asymptotic_slope,
     connecting_family,
@@ -18,6 +20,7 @@ from modcalc import (
     lipschitz_constant,
     make_curve,
     mcshane_extend,
+    path_integral,
     path_relax,
     path_space,
 )
@@ -103,6 +106,28 @@ def test_is_upper_gradient_examples(path3):
     sub = connecting_family(path3, path3.vertices, path3.vertices, 2, simple_only=True)
     ok, _ = is_upper_gradient(path3, f, rho, sub)
     assert ok
+
+
+def test_is_upper_gradient_matches_path_integral_loop():
+    # same verdict and same worst curve (the first of the largest
+    # violations) as a loop over path_integral; a NaN row is never worst
+    rng = random.Random(331)
+    for _ in range(15):
+        s = random_connected_space(rng, rng.randint(3, 8), extra_edges=2)
+        curves = mixed_curves(rng, s, rng.randint(1, 8))
+        f = random_function(rng, s)
+        rho = {v: rng.uniform(0.0, 1.0) for v in s.vertices}
+        rho[rng.choice(s.vertices)] = rng.choice((math.inf, math.nan))
+        worst, worst_violation = None, 1e-12
+        for c in curves:
+            violation = abs(f[c.end] - f[c.start]) - path_integral(s, c, rho)
+            if violation > worst_violation:
+                worst, worst_violation = c, violation
+        assert is_upper_gradient(s, f, rho, iter(curves)) == (worst is None, worst)
+
+        walk = next(c for c in curves if not c.is_constant)
+        with pytest.raises(CurveError):
+            is_upper_gradient(s, f, dict(rho, **{walk.start: -0.5}), curves)
 
 
 def test_path_relax_examples(path3):

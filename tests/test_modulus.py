@@ -6,12 +6,15 @@ import pytest
 
 from helpers import (
     closed_form_single_curve,
+    mixed_curves,
     oracle_min_power,
     random_connected_space,
     random_edge_walk,
+    reference_row,
     retimed,
 )
 from modcalc import (
+    CurveError,
     ModulusError,
     admissible_check,
     barycenter,
@@ -23,6 +26,7 @@ from modcalc import (
     make_curve,
     modulus,
     optimal_plan,
+    path_integral,
     path_space,
 )
 from modcalc.modulus import admissibility_matrix
@@ -56,6 +60,39 @@ def test_admissible_check_examples(path3):
 
     ok_empty, slack_empty = admissible_check(path3, rho, explicit_family([]), 0)
     assert ok_empty and slack_empty == math.inf
+
+
+def test_rows_and_slacks_match_per_curve_reference():
+    # the hop table must reproduce the curve-by-curve rows bit for bit, and
+    # the slacks of the path_integral loop, on walks that revisit vertices
+    # and on constant curves, with an infinite and a NaN density entry
+    rng = random.Random(317)
+    for _ in range(12):
+        s = random_connected_space(rng, rng.randint(3, 8), extra_edges=2)
+        curves = mixed_curves(rng, s, rng.randint(1, 8))
+        rho = {v: rng.uniform(0.0, 1.5) for v in s.vertices}
+        rho[rng.choice(s.vertices)] = rng.choice((math.inf, math.nan))
+        for lam in (0, 1):
+            A, got = admissibility_matrix(s, iter(curves), lam)
+            want = np.array([reference_row(s, c, lam) for c in curves])
+            assert got == curves and A.tobytes() == want.tobytes()
+
+            # at lam = 0 the constant curves alone set the slack to -1
+            for fam in (curves, [c for c in curves if not c.is_constant]):
+                slacks = []
+                for c in fam:
+                    lhs = path_integral(s, c, rho)
+                    if lam == 1:
+                        lhs = lhs + rho[c.start] + rho[c.end]
+                    slacks.append(lhs - 1.0)
+                smallest = min((x for x in slacks if not math.isnan(x)), default=math.inf)
+                ok = not any(x < 0 for x in slacks)
+                assert admissible_check(s, rho, fam, lam) == (ok, smallest)
+
+        walk = next(c for c in curves if not c.is_constant)
+        bad = dict(rho, **{walk.vertices[1]: -1.0})
+        with pytest.raises(CurveError):
+            admissible_check(s, bad, curves, 0)
 
 
 def test_modulus_empty_and_infinite(path3):

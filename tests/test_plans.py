@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_connected_space, random_edge_walk, random_function
+from helpers import (
+    random_connected_space,
+    random_edge_walk,
+    random_function,
+    reference_barycenter,
+    reference_derivation,
+)
 from strategies import functions_on, spaces_with_walk
 from modcalc import (
     MetricMeasureSpace,
@@ -153,7 +159,7 @@ def test_plan_ibp_random():
         support = tuple(
             (random_edge_walk(rng, s, 5), rng.uniform(0.1, 2.0))
             for _ in range(rng.randint(1, 4))
-        )
+        ) + ((make_curve(s, [rng.choice(s.vertices)]), rng.uniform(0.1, 2.0)),)
         plan = Plan(support)
         f = random_function(rng, s)
         b, div = plan_derivation(s, plan, f)
@@ -162,6 +168,23 @@ def test_plan_ibp_random():
         rhs = -sum(f[v] * div[v] for v in s.vertices)
         assert abs(lhs - mid) <= 1e-12 * max(1.0, abs(mid))
         assert abs(mid - rhs) <= 1e-12 * max(1.0, abs(mid))
+
+        # the hop-table sums agree with the curve loops to 1e-14 of the
+        # summed term magnitudes, which bound every entry
+        scale = 0.0
+        for c, w in plan.support:
+            hops = zip(c.vertices, c.vertices[1:])
+            scale += w * (2.0 + sum(s.distance(u, v) + abs(f[v] - f[u]) for u, v in hops))
+        scale /= min(s.measure.values())
+        b_ref, div_ref = reference_derivation(s, plan, f)
+        for lam in (0, 1):
+            bar = barycenter(s, plan, lam).values
+            bar_ref = reference_barycenter(s, plan, lam)
+            for v in s.vertices:
+                assert abs(bar[v] - bar_ref[v]) <= 1e-14 * scale
+        for v in s.vertices:
+            assert abs(b[v] - b_ref[v]) <= 1e-14 * scale
+            assert abs(div[v] - div_ref[v]) <= 1e-14 * scale
 
 
 @settings(max_examples=40, deadline=None)

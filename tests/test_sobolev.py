@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    mixed_curves,
     oracle_capacity,
     oracle_min_power,
     random_connected_space,
     random_edge_walk,
     random_function,
+    reference_hop_check,
+    reference_hop_slopes,
 )
 from modcalc import (
+    barycenter,
     capacity,
     connecting_family,
     cycle_space,
@@ -215,6 +219,20 @@ def test_ug_calculus_random():
         report = ug_calculus(s, f, g, rho_f, rho_g, lambda t: a * t + b * abs(t), fam)
         assert all(entry["ok"] for entry in report.values())
 
+        # hop slopes and the minimum rule are bit-identical to the hop loops,
+        # also on revisiting walks and constant curves, and with a minimum
+        # rule that fails (the alternative density is zero on a hop end)
+        walks = mixed_curves(rng, s, 6)
+        assert hop_slope_density(s, f, iter(walks)) == reference_hop_slopes(s, f, walks)
+        mixed = walks + list(fam)
+        rho_f = hop_slope_density(s, f, mixed)
+        rho_g = hop_slope_density(s, g, mixed)
+        alt = dict(rho_f, **{rng.choice(s.vertices): 0.0})
+        report = ug_calculus(s, f, g, rho_f, rho_g, abs, mixed, rho_f_alt=alt)
+        rho_min = {v: min(rho_f[v], alt[v]) for v in s.vertices}
+        ok, worst = reference_hop_check(s, f, rho_min, mixed, 1e-12)
+        assert report["min"] == {"ok": ok, "worst": worst}
+
 
 def test_h_sequence_exact_on_benchmark(path3, subpaths3):
     grad, steps = h_gradient_sequence(path3, RAMP, 2.0, subpaths3, n_steps=3)
@@ -282,6 +300,12 @@ def test_w_certificate(path3, subpaths3):
     oplan = optimal_plan(mod, subpaths3)
     report_dual = w_certificate(path3, f, res.rho, [oplan])
     assert report_dual["max_violation"] <= 1e-7
+    # the plan average of increment minus path integral is the flux minus
+    # the barycenter mass of the candidate gradient
+    bar = barycenter(path3, oplan, 0).values
+    flux = sum(w * (f[c.end] - f[c.start]) for c, w in oplan.support)
+    mass = sum(bar[v] * res.rho[v] * path3.measure[v] for v in path3.vertices)
+    assert report_dual["per_plan"][0] == pytest.approx(flux - mass, abs=1e-14)
 
     with pytest.raises(ValueError):
         w_certificate(path3, f, zero, [])
