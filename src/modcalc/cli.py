@@ -104,7 +104,7 @@ def _error(exc: Exception, code: int) -> int:
     return code
 
 
-def _cmd_space_validate(config: RunConfig) -> int:
+def _cmd_space_validate(config: RunConfig, args: argparse.Namespace) -> int:
     space = build_space(_load_json(config.inputs["space"]))
     _emit(
         config,
@@ -118,7 +118,7 @@ def _cmd_space_validate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_modulus(config: RunConfig) -> int:
+def _cmd_modulus(config: RunConfig, args: argparse.Namespace) -> int:
     space = build_space(_load_json(config.inputs["space"]))
     fam = family_from_json(space, _load_json(config.inputs["family"]))
     res = modulus(space, fam, config.p, config.lam, config.tol)
@@ -137,7 +137,7 @@ def _cmd_modulus(config: RunConfig) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_plan(config: RunConfig) -> int:
+def _cmd_plan(config: RunConfig, args: argparse.Namespace) -> int:
     space = build_space(_load_json(config.inputs["space"]))
     plan = plan_from_json(space, _load_json(config.inputs["plan"]))
     ok, comp, eq = is_test_plan(space, plan, config.q)
@@ -158,7 +158,7 @@ def _cmd_plan(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_gradient(config: RunConfig) -> int:
+def _cmd_gradient(config: RunConfig, args: argparse.Namespace) -> int:
     space = build_space(_load_json(config.inputs["space"]))
     fam = family_from_json(space, _load_json(config.inputs["family"]))
     f = _load_function(config.inputs["f"], space)
@@ -177,7 +177,7 @@ def _cmd_gradient(config: RunConfig) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_capacity(config: RunConfig) -> int:
+def _cmd_capacity(config: RunConfig, args: argparse.Namespace) -> int:
     space = build_space(_load_json(config.inputs["space"]))
     fam = family_from_json(space, _load_json(config.inputs["family"]))
     E = [str(v) for v in _load_json(config.inputs["E"])]
@@ -196,7 +196,16 @@ def _cmd_capacity(config: RunConfig) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_equivalence(config: RunConfig) -> int:
+def _cmd_relax(config: RunConfig, args: argparse.Namespace) -> int:
+    space = build_space(_load_json(config.inputs["space"]))
+    f = _load_function(config.inputs["f"], space)
+    g = _load_function(config.inputs["g"], space)
+    C = [str(v) for v in _load_json(config.inputs["C"])]
+    _emit(config, {"relaxed": path_relax(space, f, g, C, args.delta, args.M)})
+    return EXIT_OK
+
+
+def _cmd_equivalence(config: RunConfig, args: argparse.Namespace) -> int:
     space = build_space(_load_json(config.inputs["space"]))
     f = _load_function(config.inputs["f"], space)
     report = equivalence_report(space, f, config.p, config.max_hops, config.tol)
@@ -221,7 +230,7 @@ def _cmd_equivalence(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(config: RunConfig) -> int:
+def _cmd_selftest(config: RunConfig, args: argparse.Namespace) -> int:
     """Deterministic smoke battery on the unit path benchmark."""
     from .families import connecting_family
 
@@ -242,6 +251,18 @@ def _cmd_selftest(config: RunConfig) -> int:
     _emit(config, checks)
     ok = checks["benchmark_ok"] and checks["single_edge_ok"]
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+
+
+_COMMANDS = {
+    "space-validate": _cmd_space_validate,
+    "modulus": _cmd_modulus,
+    "plan": _cmd_plan,
+    "gradient": _cmd_gradient,
+    "capacity": _cmd_capacity,
+    "relax": _cmd_relax,
+    "equivalence": _cmd_equivalence,
+    "selftest": _cmd_selftest,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -328,29 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         config.validate()
 
-        if args.command == "space-validate":
-            return _cmd_space_validate(config)
-        if args.command == "modulus":
-            return _cmd_modulus(config)
-        if args.command == "plan":
-            return _cmd_plan(config)
-        if args.command == "gradient":
-            return _cmd_gradient(config)
-        if args.command == "capacity":
-            return _cmd_capacity(config)
-        if args.command == "relax":
-            space = build_space(_load_json(config.inputs["space"]))
-            f = _load_function(config.inputs["f"], space)
-            g = _load_function(config.inputs["g"], space)
-            C = [str(v) for v in _load_json(config.inputs["C"])]
-            relaxed = path_relax(space, f, g, C, args.delta, args.M)
-            _emit(config, {"relaxed": relaxed})
-            return EXIT_OK
-        if args.command == "equivalence":
-            return _cmd_equivalence(config)
-        if args.command == "selftest":
-            return _cmd_selftest(config)
-        raise SpaceError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](config, args)
     except (SpaceError, CurveError, PlanError, ModulusError, ValueError) as exc:
         return _error(exc, EXIT_VALIDATION)
 

@@ -123,17 +123,11 @@ def make_curve(
 ) -> DiscreteCurve:
     """Build a validated curve; omitted times default to constant-speed on [0,1]."""
     vs = tuple(str(v) for v in vertices)
-    if times is None:
-        curve = DiscreteCurve(tuple(float(i) for i in range(max(len(vs), 1))), vs)
-        if len(vs) == 1:
-            curve = DiscreteCurve((0.0,), vs)
-            validate_curve(space, curve)
-            return curve
-        validate_curve(space, curve)
-        return cs_reparam(space, curve)
-    curve = DiscreteCurve(tuple(float(t) for t in times), vs)
+    # omitted times are the breakpoint indices until validation has passed
+    given = range(len(vs)) if times is None else times
+    curve = DiscreteCurve(tuple(float(t) for t in given), vs)
     validate_curve(space, curve)
-    return curve
+    return curve if times is not None else cs_reparam(space, curve)
 
 
 @dataclass(frozen=True)
@@ -167,6 +161,17 @@ class _HopTable:
         """The table of every hop taken as a curve of its own."""
         return _HopTable(self.n, np.arange(len(self.u)), self.u, self.v, self.d, self.u, self.v)
 
+    def hop_max(self, per_hop: np.ndarray) -> np.ndarray:
+        """Largest value of ``per_hop`` over the hops at each vertex, 0 at a
+        vertex no hop touches."""
+        out = np.zeros(self.n)
+        np.maximum.at(out, np.concatenate((self.u, self.v)), np.tile(per_hop, 2))
+        return out
+
+    def slopes(self, f: np.ndarray) -> np.ndarray:
+        """Largest difference quotient of ``f`` over the hops at each vertex."""
+        return self.hop_max(np.abs(f[self.v] - f[self.u]) / self.d)
+
     def path_integrals(self, rho: np.ndarray) -> np.ndarray:
         """``path_integral`` of the vertex vector ``rho`` along every curve."""
         ru, rv = rho[self.u], rho[self.v]
@@ -185,6 +190,12 @@ def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _H
     cid = np.repeat(np.arange(len(curves)), sizes - 1)
     # read space._dist in place: distance_matrix() would copy it
     return _HopTable(len(space), cid, u, v, space._dist[u, v], flat[first], flat[last])
+
+
+def _edge_table(space: MetricMeasureSpace) -> _HopTable:
+    """Every graph edge as a one-hop curve, at its metric distance."""
+    u, v = space._eu, space._ev
+    return _HopTable(len(space), np.arange(len(u)), u, v, space._dist[u, v], u, v)
 
 
 def _on_vertices(space: MetricMeasureSpace, values: Mapping[str, float]) -> np.ndarray:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .curve import CurveError, DiscreteCurve, curve_from_json, curve_to_json, make_curve
-from .space import MetricMeasureSpace, SpaceError
+from .space import MetricMeasureSpace, SpaceError, _dijkstra
 
 __all__ = [
     "CurveFamily",
@@ -18,6 +17,11 @@ __all__ = [
     "family_from_json",
     "family_to_json",
 ]
+
+# Largest number of walks ``_walks`` keeps before it gives up: over five times
+# the largest family perfbench builds (18304 simple paths on the 20x20 grid),
+# and small enough that 20x20 all-pairs walks with 6 hops fail in a second.
+_CURVE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,21 +67,22 @@ def _walks(
     Every accepted walk ends in ``ends``: a walk does not step to a vertex
     farther (in hops) from ``ends`` than the hops it has left."""
     out: list[tuple[str, ...]] = []
-    to_ends = dict.fromkeys(ends, 0)  # breadth-first hop counts; absent: unreachable
-    queue = list(to_ends)
-    for u in queue:
-        for v, _ in space.neighbors(u):
-            if v not in to_ends:
-                to_ends[v] = to_ends[u] + 1
-                queue.append(v)
+    idx = space.index
+    unit = [[(idx[v], 1) for v, _ in space.neighbors(u)] for u in space.vertices]
+    to_ends = dict(zip(space.vertices, _dijkstra(unit, {idx[e]: 0 for e in ends}).tolist()))
 
     def extend(seq: list[str]) -> None:
         if len(seq) > 1 and accept(tuple(seq)):
+            if len(out) == _CURVE_BUDGET:
+                raise SpaceError(
+                    f"the family has more than {_CURVE_BUDGET} curves; enumerating every "
+                    "walk does not scale (see ROADMAP item 5, constraint generation)"
+                )
             out.append(tuple(seq))
         if len(seq) - 1 >= max_hops:
             return
         for v, _ in space.neighbors(seq[-1]):
-            if (simple_only and v in seq) or to_ends.get(v, math.inf) > max_hops - len(seq):
+            if (simple_only and v in seq) or to_ends[v] > max_hops - len(seq):
                 continue
             seq.append(v)
             extend(seq)

@@ -3,14 +3,13 @@ upper-gradient verification and the shortest-path Lipschitz relaxation."""
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .curve import DiscreteCurve, _HopTable, _hop_table, _on_vertices
-from .space import MetricMeasureSpace, SpaceError
+from .curve import DiscreteCurve, _HopTable, _edge_table, _hop_table, _on_vertices
+from .space import MetricMeasureSpace, SpaceError, _dijkstra
 
 if TYPE_CHECKING:
     from .families import CurveFamily
@@ -41,14 +40,8 @@ def asymptotic_slope(
     Graph neighborhoods do not shrink, so the slope and the asymptotic slope
     coincide in this model; isolated vertices get 0.
     """
-    out: dict[str, float] = {}
-    for v in space.vertices:
-        best = 0.0
-        fv = float(f[v])
-        for u, _ in space.neighbors(v):
-            best = max(best, abs(float(f[u]) - fv) / space.distance(u, v))
-        out[v] = best
-    return out
+    slope = _edge_table(space).slopes(_on_vertices(space, f))
+    return dict(zip(space.vertices, slope.tolist()))
 
 
 def lipschitz_constant(
@@ -62,14 +55,12 @@ def lipschitz_constant(
     vs = sorted(space.check_subset(subset))
     if not vs:
         raise SpaceError("lipschitz_constant needs a nonempty vertex set")
-    best = 0.0
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            d = space.distance(u, v)
-            if math.isinf(d):
-                continue
-            best = max(best, abs(float(f[u]) - float(f[v])) / d)
-    return best
+    at = np.array([space.index[v] for v in vs])
+    i, j = np.triu_indices(len(at), 1)
+    d = space._dist[at[i], at[j]]
+    fv = np.array([float(f[v]) for v in vs])
+    finite = np.isfinite(d)
+    return float((np.abs(fv[i] - fv[j])[finite] / d[finite]).max(initial=0.0))
 
 
 def mcshane_extend(
@@ -78,7 +69,8 @@ def mcshane_extend(
     """Inf-convolution extension ``x -> min_y f(y) + bound * d(y, x)``.
 
     The extension agrees with ``f`` on its domain and is ``bound``-Lipschitz;
-    ``bound`` must dominate the Lipschitz constant of the data.
+    ``bound`` must dominate the Lipschitz constant of the data.  A term at
+    infinite distance is ``+inf``, also for ``bound = 0``.
     """
     anchor = sorted(str(v) for v in f_on_subset)
     if not anchor:
@@ -88,12 +80,11 @@ def mcshane_extend(
         raise ValueError(
             f"extension bound {bound} is below the Lipschitz constant {have}"
         )
-    out: dict[str, float] = {}
-    for x in space.vertices:
-        out[x] = min(
-            float(f_on_subset[y]) + bound * space.distance(y, x) for y in anchor
-        )
-    return out
+    d = space._dist[[space.index[y] for y in anchor]]
+    fa = np.array([float(f_on_subset[y]) for y in anchor])
+    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by inf
+        terms = np.where(np.isinf(d), math.inf, fa[:, None] + bound * d)
+    return dict(zip(space.vertices, terms.min(axis=0).tolist()))
 
 
 def is_upper_gradient(
@@ -138,8 +129,8 @@ def path_relax(
     length at most ``delta``.  Hops may join any vertex pair within
     ``delta``, not only graph edges.  Implemented as a multi-source Dijkstra
     sweep with potentials ``f`` on the sources; unreachable vertices get
-    ``cap``.  Ties in the priority queue break on vertex id, so the result
-    is deterministic.
+    ``cap``.  Ties in the priority queue break on vertex index; with
+    nonnegative costs the values do not depend on the pop order.
     """
     src = sorted(space.check_subset(sources))
     if not src:
@@ -153,36 +144,13 @@ def path_relax(
         if float(f[c]) < 0:
             raise ValueError(f"f must be nonnegative on the source set, got f[{c}]")
 
-    dist: dict[str, float] = {}
-    heap: list[tuple[float, str]] = []
-    for c in src:
-        fc = float(f[c])
-        if fc < dist.get(c, math.inf):
-            dist[c] = fc
-            heapq.heappush(heap, (fc, c))
-
-    hop_targets: dict[str, list[str]] = {}
-    for u in space.vertices:
-        hop_targets[u] = [
-            v
-            for v in space.vertices
-            if v != u and space.distance(u, v) <= delta
-        ]
-
-    done: set[str] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        gu = float(g[u])
-        for v in hop_targets[u]:
-            if v in done:
-                continue
-            step = 0.5 * (gu + float(g[v])) * space.distance(u, v)
-            nd = d + step
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-    return {v: min(cap, dist.get(v, math.inf)) for v in space.vertices}
+    near = space._dist <= delta
+    np.fill_diagonal(near, False)
+    u, v = np.nonzero(near)
+    gv = _on_vertices(space, g)
+    cost = 0.5 * (gv[u] + gv[v]) * space._dist[u, v]
+    arcs: list[list[tuple[int, float]]] = [[] for _ in space.vertices]
+    for a, b, c in zip(u.tolist(), v.tolist(), cost.tolist()):
+        arcs[a].append((b, c))
+    dist = _dijkstra(arcs, {space.index[c]: float(f[c]) for c in src})
+    return {x: min(cap, d) for x, d in zip(space.vertices, dist.tolist())}

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._solver import solve_capacity, solve_nonneg
-from .curve import DiscreteCurve, _hop_table, _on_vertices
+from .curve import DiscreteCurve, _edge_table, _hop_table, _on_vertices, make_curve
 from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _worst_curve, asymptotic_slope, path_relax
 from .modulus import modulus, optimal_plan
@@ -127,11 +127,7 @@ def hop_slope_density(
     minimum rule for gradients is exercised at finite scale.
     """
     table = _hop_table(space, list(family))
-    fv = _on_vertices(space, f)
-    ratio = np.abs(fv[table.v] - fv[table.u]) / table.d
-    rho = np.zeros(len(space))
-    np.maximum.at(rho, np.concatenate((table.u, table.v)), np.tile(ratio, 2))
-    return dict(zip(space.vertices, rho.tolist()))
+    return dict(zip(space.vertices, table.slopes(_on_vertices(space, f)).tolist()))
 
 
 def ug_calculus(
@@ -243,6 +239,7 @@ def h_gradient_sequence(
         sigmas = [2.0 ** (-(n + 1)) for n in range(n_steps)]
     trunc = {v: min(cap, max(0.0, float(f[v]))) for v in space.vertices}
 
+    edges = _edge_table(space)
     steps: list[HStep] = []
     for n, sigma in enumerate(sigmas, start=1):
         g_n = {v: rho[v] + sigma for v in space.vertices}
@@ -253,13 +250,9 @@ def h_gradient_sequence(
             space, {v: slope[v] - rho[v] for v in space.vertices}, p
         )
         exact = all(abs(f_n[v] - float(f[v])) <= 1e-12 for v in space.vertices)
-        bounded = True
-        for v in space.vertices:
-            limit = 0.0
-            for u, _ in space.neighbors(v):
-                limit = max(limit, 0.5 * (g_n[v] + g_n[u]))
-            if slope[v] > limit + 1e-12:
-                bounded = False
+        gv = _on_vertices(space, g_n)
+        limit = edges.hop_max(0.5 * (gv[edges.u] + gv[edges.v]))
+        bounded = not (_on_vertices(space, slope) > limit + 1e-12).any()
         steps.append(
             HStep(n, float(sigma), f_n, slope, f_err, slope_err, exact, bounded)
         )
@@ -336,14 +329,11 @@ def _harness_family(
 ) -> CurveFamily:
     """Edge walks up to ``max_hops`` plus the one-hop curve of every vertex
     pair within ``delta``, so relaxation hops are exactly constrained."""
-    from .curve import make_curve
-
     walks = connecting_family(space, space.vertices, space.vertices, max_hops)
-    pairs = []
-    for u in space.vertices:
-        for v in space.vertices:
-            if u != v and space.distance(u, v) <= delta:
-                pairs.append(make_curve(space, (u, v)))
+    near = space._dist <= delta
+    np.fill_diagonal(near, False)
+    vs = space.vertices
+    pairs = [make_curve(space, (vs[u], vs[v])) for u, v in zip(*np.nonzero(near))]
     fam = walks.union(explicit_family(pairs), label=f"harness(h<={max_hops})")
     return fam.normalized()
 

@@ -86,34 +86,15 @@ class MetricMeasureSpace:
         self._measure = meas
         self._index = index
         self._adj = {v: tuple(sorted(adj[v])) for v in ids}
+        self._eu = np.array([index[u] for u, _, _ in self._edges], dtype=np.intp)
+        self._ev = np.array([index[v] for _, v, _ in self._edges], dtype=np.intp)
         self._dist = self._all_pairs()
 
     # -- metric ---------------------------------------------------------
 
-    def _dijkstra(self, source: str) -> np.ndarray:
-        dist = {source: 0.0}
-        done: set[str] = set()
-        heap: list[tuple[float, str]] = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, le in self._adj[u]:
-                nd = d + le
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        row = np.full(len(self._vertices), math.inf)
-        for v, d in dist.items():
-            row[self._index[v]] = d
-        return row
-
     def _all_pairs(self) -> np.ndarray:
-        n = len(self._vertices)
-        dist = np.full((n, n), math.inf)
-        for i, src in enumerate(self._vertices):
-            dist[i] = self._dijkstra(src)
+        arcs = [[(self._index[v], le) for v, le in self._adj[u]] for u in self._vertices]
+        dist = np.array([_dijkstra(arcs, {i: 0.0}) for i in range(len(arcs))])
         # summation order differs per source, so enforce exact symmetry
         return np.minimum(dist, dist.T)
 
@@ -183,10 +164,7 @@ class MetricMeasureSpace:
         This can be smaller than the largest edge length when an edge is
         shortcut by a cheaper path.  Returns 0 for an edgeless graph.
         """
-        best = 0.0
-        for u, v, _ in self._edges:
-            best = max(best, self.distance(u, v))
-        return best
+        return float(self._dist[self._eu, self._ev].max(initial=0.0))
 
     def mass(self, subset: Iterable[str] | None = None) -> float:
         """Total measure of ``subset`` (the whole space when omitted)."""
@@ -207,6 +185,33 @@ class MetricMeasureSpace:
         for v in out:
             self._check(v)
         return out
+
+
+def _dijkstra(arcs: list[list[tuple[int, float]]], init: Mapping[int, float]) -> np.ndarray:
+    """Multi-source shortest paths over vertex indices.
+
+    ``arcs[u]`` lists the ``(v, cost)`` arcs out of ``u``, costs nonnegative;
+    ``init`` maps the start indices to their potentials.  Returns the distance
+    vector, ``inf`` where no start reaches.  With nonnegative costs every
+    value is the least float sum along a path, whatever the pop order.
+    """
+    dist = [math.inf] * len(arcs)
+    heap = []
+    for i, d in init.items():
+        if d < dist[i]:
+            dist[i] = d
+            heap.append((d, i))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:  # superseded by a shorter push
+            continue
+        for v, cost in arcs[u]:
+            nd = d + cost
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return np.array(dist)
 
 
 def build_space(spec: Mapping) -> MetricMeasureSpace:

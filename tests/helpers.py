@@ -45,6 +45,17 @@ def random_connected_space(
     return MetricMeasureSpace(ids, edge_list, measure)
 
 
+def random_disconnected_space(rng: random.Random, n: int, **kw) -> MetricMeasureSpace:
+    """A random connected space on ``n`` vertices beside a second one on 1 to
+    3 vertices (ids prefixed with "x"), with no edge between the two."""
+    a = random_connected_space(rng, n, **kw)
+    b = random_connected_space(rng, rng.randint(1, 3), **kw)
+    ids = list(a.vertices) + [f"x{v}" for v in b.vertices]
+    edges = list(a.edges) + [(f"x{u}", f"x{v}", le) for u, v, le in b.edges]
+    measure = {**a.measure, **{f"x{v}": m for v, m in b.measure.items()}}
+    return MetricMeasureSpace(ids, edges, measure)
+
+
 def random_edge_walk(
     rng: random.Random,
     space: MetricMeasureSpace,
@@ -292,6 +303,55 @@ def reference_derivation(space, plan, f):
         div[curve.start] += w
         div[curve.end] -= w
     return {v: b[v] / space.measure[v] for v in space.vertices}, div
+
+
+# -- per-vertex and per-pair references for the metric layer -------------
+# Loops over ``space.distance`` and ``space.neighbors``, the way the
+# definitions read, against the package's reads of the distance matrix.
+
+
+def reference_asymptotic_slope(space, f):
+    out = {}
+    for v in space.vertices:
+        best = 0.0
+        for u, _ in space.neighbors(v):
+            best = max(best, abs(f[u] - f[v]) / space.distance(u, v))
+        out[v] = best
+    return out
+
+
+def reference_lipschitz_constant(space, f, subset):
+    vs = sorted(set(subset))
+    best = 0.0
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            d = space.distance(u, v)
+            if math.isfinite(d):
+                best = max(best, abs(f[u] - f[v]) / d)
+    return best
+
+
+def reference_mcshane(space, data, bound):
+    """Inf-convolution with every term at infinite distance taken as +inf."""
+    out = {}
+    for x in space.vertices:
+        terms = []
+        for y in data:
+            d = space.distance(y, x)
+            terms.append(data[y] + bound * d if math.isfinite(d) else math.inf)
+        out[x] = min(terms)
+    return out
+
+
+def reference_slope_bounded(space, slope, g):
+    """Whether ``slope`` stays within the largest neighbor average of ``g``."""
+    for v in space.vertices:
+        limit = 0.0
+        for u, _ in space.neighbors(v):
+            limit = max(limit, 0.5 * (g[v] + g[u]))
+        if slope[v] > limit + 1e-12:
+            return False
+    return True
 
 
 def mixed_curves(rng: random.Random, space: MetricMeasureSpace, k: int) -> list:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modcalc import make_curve, path_space
+from modcalc import grid_space, make_curve, path_space
 from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
@@ -95,6 +95,22 @@ def test_malformed_space_exits_2(files, capsys, tmp_path):
     error = json.loads(err)["error"]
     assert "nonpositive measure" in error["message"]
     assert "a" in error["message"]  # names the offending vertex
+
+
+def test_family_over_the_curve_budget_exits_2(tmp_path, capsys):
+    grid = grid_space(20, 20)
+    space = tmp_path / "grid.json"
+    space.write_text(json.dumps(space_to_json(grid)))
+    family = tmp_path / "walks.json"
+    every = list(grid.vertices)
+    family.write_text(
+        json.dumps({"type": "connecting", "E": every, "F": every, "max_hops": 6})
+    )
+    code, out, err = run(["modulus", "--space", str(space), "--family", str(family)], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "SpaceError"
+    assert "ROADMAP item 5" in error["message"]
 
 
 def test_plan_command(files, capsys):

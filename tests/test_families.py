@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import brute_walks, random_connected_space
+from helpers import brute_walks, random_connected_space, random_disconnected_space
 from modcalc import (
     MetricMeasureSpace,
     SpaceError,
@@ -14,7 +14,7 @@ from modcalc import (
     path_space,
 )
 from modcalc.curve import validate_curve
-from modcalc.families import family_from_json, family_to_json
+from modcalc.families import _CURVE_BUDGET, family_from_json, family_to_json
 
 
 def triangle():
@@ -105,8 +105,8 @@ def test_pruning_by_hop_distance_keeps_the_family():
     # walks are not extended where F is out of hop reach; the family must
     # equal the unpruned one (targets = every vertex) filtered by its end
     rng = random.Random(42)
-    for _ in range(10):
-        s = random_connected_space(rng, rng.randint(4, 9), extra_edges=1)
+    for make in (random_connected_space, random_disconnected_space) * 5:
+        s = make(rng, rng.randint(4, 9), extra_edges=1)
         hops = rng.randint(2, 6)
         E = rng.sample(s.vertices, rng.randint(1, 3))
         F = set(rng.sample(s.vertices, rng.randint(1, 2)))
@@ -122,6 +122,14 @@ def test_pruning_by_hop_distance_keeps_the_family():
 
     g = grid_space(8, 8)
     assert len(connecting_family(g, ["0,0"], ["7,7"], 14)) == math.comb(14, 7)
+
+
+def test_walk_enumeration_stops_at_the_curve_budget():
+    g = grid_space(20, 20)
+    with pytest.raises(SpaceError, match=f"more than {_CURVE_BUDGET} curves.*ROADMAP item 5"):
+        connecting_family(g, g.vertices, g.vertices, 6)
+    with pytest.raises(SpaceError, match="ROADMAP item 5"):
+        family_through(g, g.vertices, 6)
 
 
 def test_monotone_in_max_hops():

@@ -7,8 +7,12 @@ from helpers import (
     mixed_curves,
     oracle_path_relax,
     random_connected_space,
+    random_disconnected_space,
     random_edge_walk,
     random_function,
+    reference_asymptotic_slope,
+    reference_lipschitz_constant,
+    reference_mcshane,
 )
 from modcalc import (
     CurveError,
@@ -16,6 +20,7 @@ from modcalc import (
     asymptotic_slope,
     connecting_family,
     explicit_family,
+    hop_slope_density,
     is_upper_gradient,
     lipschitz_constant,
     make_curve,
@@ -24,6 +29,7 @@ from modcalc import (
     path_relax,
     path_space,
 )
+from modcalc.space import MetricMeasureSpace
 
 
 @pytest.fixture
@@ -70,6 +76,45 @@ def test_mcshane_examples(path3):
     assert ext2 == {"0": 0.0, "1": 1.0, "2": 0.0}
     with pytest.raises(ValueError):
         mcshane_extend(path3, {"0": 0.0, "2": 3.0}, 1.0)
+
+
+def test_slopes_and_extension_match_loops():
+    rng = random.Random(41)
+    for make in (random_connected_space, random_disconnected_space) * 10:
+        s = make(rng, rng.randint(2, 12), extra_edges=3, len_range=(0.3, 3.0))
+        f = random_function(rng, s)
+        slope = asymptotic_slope(s, f)
+        assert slope == reference_asymptotic_slope(s, f)
+        one_edge = [make_curve(s, (u, v)) for u, v, _ in s.edges]
+        assert slope == hop_slope_density(s, f, one_edge)
+
+        subset = rng.sample(s.vertices, rng.randint(1, len(s)))
+        assert lipschitz_constant(s, f, subset) == reference_lipschitz_constant(s, f, subset)
+
+        data = {v: f[v] for v in subset}
+        L = lipschitz_constant(s, data, subset)
+        for bound in (L, L + rng.uniform(0.1, 2.0)):
+            assert mcshane_extend(s, data, bound) == reference_mcshane(s, data, bound)
+        flat = dict.fromkeys(subset, 0.5)
+        assert mcshane_extend(s, flat, 0.0) == reference_mcshane(s, flat, 0.0)
+
+
+def test_mcshane_across_components():
+    # a-b  c-d: a term at infinite distance is +inf, also at bound 0,
+    # so the extension agrees with the data on every anchor
+    s = MetricMeasureSpace(
+        "abcd", [("a", "b", 1.0), ("c", "d", 2.0)], dict.fromkeys("abcd", 1.0)
+    )
+    assert mcshane_extend(s, {"a": 0.0, "c": 0.0}, 0.0) == dict.fromkeys("abcd", 0.0)
+    assert mcshane_extend(s, {"a": 0.0, "c": 0.0}, 1.0) == {
+        "a": 0.0, "b": 1.0, "c": 0.0, "d": 2.0
+    }
+    assert mcshane_extend(s, {"a": 0.0}, 0.0) == {
+        "a": 0.0, "b": 0.0, "c": math.inf, "d": math.inf
+    }
+    assert mcshane_extend(s, {"a": 0.0}, 1.0) == {
+        "a": 0.0, "b": 1.0, "c": math.inf, "d": math.inf
+    }
 
 
 def test_mcshane_monotone_and_nonexpansive():
@@ -179,10 +224,12 @@ def test_path_relax_fixed_point_with_full_slope():
 
 def test_path_relax_against_networkx_oracle():
     rng = random.Random(29)
-    for _ in range(20):
-        s = random_connected_space(rng, rng.randint(3, 10))
+    for make in (random_connected_space, random_disconnected_space) * 15:
+        s = make(rng, rng.randint(3, 10))
         f = {v: rng.uniform(0.0, 4.0) for v in s.vertices}
-        g = {v: rng.uniform(0.0, 2.0) for v in s.vertices}
+        g = {v: rng.choice((0.0, rng.uniform(0.0, 2.0))) for v in s.vertices}
+        if rng.random() < 0.3:
+            g = dict.fromkeys(s.vertices, 0.0)
         C = rng.sample(s.vertices, rng.randint(1, len(s)))
         delta = rng.uniform(0.5, s.diameter() + 0.5)
         cap = rng.uniform(0.5, 6.0)

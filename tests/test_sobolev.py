@@ -8,12 +8,15 @@ from helpers import (
     oracle_capacity,
     oracle_min_power,
     random_connected_space,
+    random_disconnected_space,
     random_edge_walk,
     random_function,
     reference_hop_check,
     reference_hop_slopes,
+    reference_slope_bounded,
 )
 from modcalc import (
+    GradientResult,
     barycenter,
     capacity,
     connecting_family,
@@ -270,6 +273,29 @@ def test_h_sequence_monotone_in_slack(path3):
     for earlier, later in zip(steps, steps[1:]):
         for v in path3.vertices:
             assert later.f_n[v] <= earlier.f_n[v] + 1e-12
+
+
+def test_h_sequence_slope_bound_matches_loop():
+    # the minimal gradient passes; a too-small gradient with a hop bound
+    # below every edge leaves f unrelaxed, so its slope breaks the bound
+    rng = random.Random(53)
+    verdicts = set()
+    for make in (random_connected_space, random_disconnected_space) * 3:
+        s = make(rng, rng.randint(3, 6), len_range=(0.3, 3.0))
+        f = {v: rng.uniform(0.0, 2.0) for v in s.vertices}
+        fam = connecting_family(s, s.vertices, s.vertices, 2)
+        grad, steps = h_gradient_sequence(s, f, 2.0, fam, n_steps=2)
+        small = GradientResult(
+            {v: 0.1 * x for v, x in grad.rho.items()}, 0.0, 0.0, "", 0.0, "N", 2.0, 0, True
+        )
+        tight = min(s.distance(u, v) for u, v, _ in s.edges) / 2
+        steps += h_gradient_sequence(s, f, 2.0, fam, n_steps=2, gradient=small, delta=tight)[1]
+        for rho, group in ((grad.rho, steps[:2]), (small.rho, steps[2:])):
+            for st in group:
+                g = {v: rho[v] + st.sigma for v in s.vertices}
+                assert st.slope_bounded == reference_slope_bounded(s, st.slope, g)
+                verdicts.add(st.slope_bounded)
+    assert verdicts == {True, False}
 
 
 def test_h_sequence_grid_errors_nonincreasing():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_distance, random_connected_space
+from helpers import oracle_distance, random_connected_space, random_disconnected_space
 from modcalc import MetricMeasureSpace, SpaceError, build_space, grid_space, path_space
 from modcalc.space import space_to_json
 
@@ -46,11 +46,13 @@ def test_grid_corner_to_corner():
 
 def test_distances_match_networkx_oracle():
     rng = random.Random(7)
-    for _ in range(5):
-        s = random_connected_space(rng, rng.randint(4, 12), extra_edges=3)
-        for _ in range(6):
-            u, v = rng.choice(s.vertices), rng.choice(s.vertices)
-            assert s.distance(u, v) == pytest.approx(oracle_distance(s, u, v), abs=1e-12)
+    for make in (random_connected_space, random_disconnected_space) * 5:
+        s = make(rng, rng.randint(4, 12), extra_edges=3)
+        for u in s.vertices:
+            for v in s.vertices:
+                assert s.distance(u, v) == pytest.approx(oracle_distance(s, u, v), abs=1e-12)
+        edge_distances = [s.distance(u, v) for u, v, _ in s.edges]
+        assert s.max_edge_distance() == max(edge_distances, default=0.0)
 
 
 def test_identity_and_symmetry():
