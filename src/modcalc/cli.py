@@ -4,16 +4,16 @@ computations, emit JSON (and optional CSV) artifacts."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from csv import DictWriter
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
 from . import __version__
 from .curve import CurveError
-from .families import family_from_json
+from .families import connecting_family, family_from_json
 from .lipschitz import path_relax
 from .modulus import ModulusError, modulus
 from .plans import (
@@ -33,6 +33,8 @@ EXIT_NO_CONVERGENCE = 3
 
 @dataclass
 class RunConfig:
+    """The settings an artifact records, with their defaults."""
+
     command: str
     inputs: dict[str, str]
     p: float = 2.0
@@ -41,8 +43,6 @@ class RunConfig:
     tol: float = 1e-6
     max_hops: int = 3
     truncated: bool = False
-    output: str | None = None
-    csv_path: str | None = None
 
     def validate(self) -> None:
         if not (1.0 <= self.p < math.inf):
@@ -75,17 +75,16 @@ def _load_function(path: str, space: MetricMeasureSpace) -> dict[str, float]:
     return values
 
 
-def _emit(config: RunConfig, result: Mapping, stream=None) -> None:
+def _emit(config: RunConfig, output: str | None, result: Mapping, **recorded: Any) -> None:
     # where the artifact goes is not part of it, so that identical runs
     # give identical bytes whatever the output paths
-    recorded = {k: v for k, v in asdict(config).items() if k not in ("output", "csv_path")}
-    payload = {"config": recorded, "result": result}
+    payload = {"config": {**asdict(config), **recorded}, "result": result}
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        (stream or sys.stdout).write(text + "\n")
+        sys.stdout.write(text + "\n")
 
 
 def _emit_csv(path: str, rows: list[dict]) -> None:
@@ -93,7 +92,7 @@ def _emit_csv(path: str, rows: list[dict]) -> None:
         return
     keys = sorted({k for row in rows for k in row})
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = DictWriter(fh, fieldnames=keys)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -104,10 +103,10 @@ def _error(exc: Exception, code: int) -> int:
     return code
 
 
-def _cmd_space_validate(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_space_validate(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     _emit(
         config,
+        output,
         {
             "vertices": len(space),
             "edges": len(space.edges),
@@ -118,8 +117,7 @@ def _cmd_space_validate(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_modulus(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_modulus(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     fam = family_from_json(space, _load_json(config.inputs["family"]))
     res = modulus(space, fam, config.p, config.lam, config.tol)
     result = {
@@ -133,12 +131,11 @@ def _cmd_modulus(config: RunConfig, args: argparse.Namespace) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    _emit(config, result)
+    _emit(config, output, result)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_plan(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_plan(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     plan = plan_from_json(space, _load_json(config.inputs["plan"]))
     ok, comp, eq = is_test_plan(space, plan, config.q)
     result: dict[str, Any] = {
@@ -154,17 +151,17 @@ def _cmd_plan(config: RunConfig, args: argparse.Namespace) -> int:
         b, div = plan_derivation(space, plan, f)
         result["derivation"] = b
         result["divergence"] = div
-    _emit(config, result)
+    _emit(config, output, result)
     return EXIT_OK
 
 
-def _cmd_gradient(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_gradient(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     fam = family_from_json(space, _load_json(config.inputs["family"]))
     f = _load_function(config.inputs["f"], space)
     res = n_gradient(space, f, fam, config.p, config.tol)
     _emit(
         config,
+        output,
         {
             "rho": res.rho,
             "value": res.value,
@@ -177,13 +174,13 @@ def _cmd_gradient(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_capacity(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_capacity(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     fam = family_from_json(space, _load_json(config.inputs["family"]))
     E = [str(v) for v in _load_json(config.inputs["E"])]
     res = capacity(space, E, fam, config.p, config.tol, config.truncated)
     _emit(
         config,
+        output,
         {
             "value": res.value,
             "f": res.f,
@@ -196,44 +193,37 @@ def _cmd_capacity(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_relax(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_relax(
+    config: RunConfig, space: MetricMeasureSpace, output: str | None, delta: float, M: float
+) -> int:
     f = _load_function(config.inputs["f"], space)
     g = _load_function(config.inputs["g"], space)
     C = [str(v) for v in _load_json(config.inputs["C"])]
-    _emit(config, {"relaxed": path_relax(space, f, g, C, args.delta, args.M)})
+    _emit(config, output, {"relaxed": path_relax(space, f, g, C, delta, M)}, delta=delta, M=M)
     return EXIT_OK
 
 
-def _cmd_equivalence(config: RunConfig, args: argparse.Namespace) -> int:
-    space = build_space(_load_json(config.inputs["space"]))
+def _cmd_equivalence(
+    config: RunConfig, space: MetricMeasureSpace, output: str | None, csv: str | None = None
+) -> int:
     f = _load_function(config.inputs["f"], space)
     report = equivalence_report(space, f, config.p, config.max_hops, config.tol)
-    if config.csv_path:
+    if csv:
         rows = [
             {"metric": k, "value": v}
             for k, v in report.items()
             if isinstance(v, (int, float, bool))
         ]
         for step in report.get("h_steps", []):
-            rows.append(
-                {"metric": f"h_step_{step['step']}_f_err", "value": step["f_err"]}
-            )
-            rows.append(
-                {
-                    "metric": f"h_step_{step['step']}_slope_err",
-                    "value": step["slope_err"],
-                }
-            )
-        _emit_csv(config.csv_path, rows)
-    _emit(config, report)
+            for key in ("f_err", "slope_err"):
+                rows.append({"metric": f"h_step_{step['step']}_{key}", "value": step[key]})
+        _emit_csv(csv, rows)
+    _emit(config, output, report)
     return EXIT_OK
 
 
-def _cmd_selftest(config: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_selftest(config: RunConfig, _space: None, output: str | None) -> int:
     """Deterministic smoke battery on the unit path benchmark."""
-    from .families import connecting_family
-
     edge = path_space(2)
     single = connecting_family(edge, ["0"], ["1"], 1)
     res_edge = modulus(edge, single, 2.0, 0, config.tol)
@@ -248,20 +238,41 @@ def _cmd_selftest(config: RunConfig, args: argparse.Namespace) -> int:
         "benchmark_gradient_energy": grad.value,
         "benchmark_ok": abs(grad.value - 8.0 / 3.0) <= 1e-5,
     }
-    _emit(config, checks)
+    _emit(config, output, checks)
     ok = checks["benchmark_ok"] and checks["single_edge_ok"]
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
+# argparse keywords of the flags that need any.  No flag has a default: the
+# parsed arguments hold only what was given, and every default is RunConfig's.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "E": {"help": "JSON file with a list of vertex ids"},
+    "C": {"help": "JSON file with the source set"},
+    "p": {"type": float},
+    "q": {"type": float},
+    "lambda": {"dest": "lam", "type": int, "choices": (0, 1)},
+    "tol": {"type": float},
+    "max-hops": {"type": int},
+    "truncated": {"action": "store_true"},
+    "delta": {"type": float, "required": True},
+    "M": {"type": float, "required": True},
+}
+
+# command -> (handler, help, input files, options).  An input file is required
+# unless it ends in "?"; every command also takes --output.  A handler gets the
+# config, the loaded --space, the output path and its options that are not
+# RunConfig fields.
 _COMMANDS = {
-    "space-validate": _cmd_space_validate,
-    "modulus": _cmd_modulus,
-    "plan": _cmd_plan,
-    "gradient": _cmd_gradient,
-    "capacity": _cmd_capacity,
-    "relax": _cmd_relax,
-    "equivalence": _cmd_equivalence,
-    "selftest": _cmd_selftest,
+    "space-validate": (_cmd_space_validate, "validate a space file", "space", "tol"),
+    "modulus": (_cmd_modulus, "modulus of a curve family", "space family", "p lambda tol"),
+    "plan": (_cmd_plan, "plan diagnostics", "space plan f?", "q lambda tol"),
+    "gradient": (_cmd_gradient, "minimal gradient of a function", "space family f", "p tol"),
+    "capacity": (_cmd_capacity, "capacity of a vertex set", "space family E", "p truncated tol"),
+    "relax": (_cmd_relax, "shortest-path relaxation of a function", "space f g C", "delta M tol"),
+    "equivalence": (
+        _cmd_equivalence, "definition-equivalence harness", "space f", "p max-hops tol csv"
+    ),
+    "selftest": (_cmd_selftest, "deterministic smoke battery", "", "tol"),
 }
 
 
@@ -272,84 +283,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"modcalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, inputs, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for key in inputs.split():
+            flag = key.rstrip("?")
+            sp.add_argument(f"--{flag}", required=flag == key, **_FLAGS.get(flag, {}))
+        for key in options.split() + ["output"]:
+            sp.add_argument(f"--{key}", **_FLAGS.get(key, {}))
 
-    def add_common(sp, *, space=True, family=False, f=False, plan_in=False):
-        if space:
-            sp.add_argument("--space", required=True)
-        if family:
-            sp.add_argument("--family", required=True)
-        if f:
-            sp.add_argument("--f", required=True)
-        if plan_in:
-            sp.add_argument("--plan", required=True)
-        sp.add_argument("--tol", type=float, default=1e-6)
-        sp.add_argument("--output", default=None)
-
-    sp = sub.add_parser("space-validate", help="validate a space file")
-    add_common(sp)
-
-    sp = sub.add_parser("modulus", help="modulus of a curve family")
-    add_common(sp, family=True)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--lambda", dest="lam", type=int, default=0, choices=(0, 1))
-
-    sp = sub.add_parser("plan", help="plan diagnostics")
-    add_common(sp, plan_in=True)
-    sp.add_argument("--q", type=float, default=2.0)
-    sp.add_argument("--lambda", dest="lam", type=int, default=0, choices=(0, 1))
-    sp.add_argument("--f", default=None)
-
-    sp = sub.add_parser("gradient", help="minimal gradient of a function")
-    add_common(sp, family=True, f=True)
-    sp.add_argument("--p", type=float, default=2.0)
-
-    sp = sub.add_parser("capacity", help="capacity of a vertex set")
-    add_common(sp, family=True)
-    sp.add_argument("--E", required=True, help="JSON file with a list of vertex ids")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--truncated", action="store_true")
-
-    sp = sub.add_parser("relax", help="shortest-path relaxation of a function")
-    add_common(sp, f=True)
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--C", required=True, help="JSON file with the source set")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--M", type=float, required=True)
-
-    sp = sub.add_parser("equivalence", help="definition-equivalence harness")
-    add_common(sp, f=True)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--max-hops", type=int, default=3)
-    sp.add_argument("--csv", default=None)
-
-    sp = sub.add_parser("selftest", help="deterministic smoke battery")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--output", default=None)
-
-    args = parser.parse_args(argv)
-
-    inputs = {}
-    for key in ("space", "family", "f", "g", "plan", "E", "C"):
-        val = getattr(args, key, None)
-        if val:
-            inputs[key] = val
-
+    given = vars(parser.parse_args(argv))
+    handler, _, inputs, _ = _COMMANDS[given["command"]]
+    config = RunConfig(
+        given.pop("command"),
+        {k: given.pop(k) for k in inputs.replace("?", "").split() if k in given},
+        **{f.name: given.pop(f.name) for f in fields(RunConfig) if f.name in given},
+    )
     try:
-        config = RunConfig(
-            command=args.command,
-            inputs=inputs,
-            p=getattr(args, "p", 2.0),
-            q=getattr(args, "q", 2.0),
-            lam=getattr(args, "lam", 0),
-            tol=getattr(args, "tol", 1e-6),
-            max_hops=getattr(args, "max_hops", 3),
-            truncated=getattr(args, "truncated", False),
-            output=getattr(args, "output", None),
-            csv_path=getattr(args, "csv", None),
-        )
         config.validate()
-
-        return _COMMANDS[args.command](config, args)
+        space = None
+        if "space" in config.inputs:
+            space = build_space(_load_json(config.inputs["space"]))
+        return handler(config, space, given.pop("output", None), **given)
     except (SpaceError, CurveError, PlanError, ModulusError, ValueError) as exc:
         return _error(exc, EXIT_VALIDATION)
 

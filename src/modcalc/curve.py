@@ -62,18 +62,8 @@ class DiscreteCurve:
         return self.vertices[-1]
 
     @property
-    def n_hops(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
     def domain(self) -> tuple[float, float]:
         return (self.times[0], self.times[-1])
-
-    def reversed(self) -> "DiscreteCurve":
-        """Same trace walked backwards, over the same time interval."""
-        a, b = self.times[0], self.times[-1]
-        rev_times = tuple(a + b - t for t in reversed(self.times))
-        return DiscreteCurve(rev_times, tuple(reversed(self.vertices)))
 
     def with_times(self, times: Sequence[float]) -> "DiscreteCurve":
         new = tuple(float(t) for t in times)
@@ -93,11 +83,9 @@ class AtomicMeasureOnCurve:
     def total(self) -> float:
         return float(sum(self.atoms))
 
-    def total_variation(self) -> float:
-        return float(sum(abs(a) for a in self.atoms))
 
-
-def validate_curve(space: MetricMeasureSpace, curve: DiscreteCurve) -> None:
+def validate_curve(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:
+    """Check the curve's invariants and return the hop lengths checked."""
     if len(curve.times) != len(curve.vertices) or not curve.vertices:
         raise CurveError("times and vertices must align and be nonempty")
     for v in curve.vertices:
@@ -109,11 +97,14 @@ def validate_curve(space: MetricMeasureSpace, curve: DiscreteCurve) -> None:
     for a, b in zip(curve.times, curve.times[1:]):
         if not b > a:
             raise CurveError("breakpoint times must be strictly increasing")
+    hops = []
     for u, v in zip(curve.vertices, curve.vertices[1:]):
         if u == v:
             raise CurveError(f"zero-length hop at {u!r}")
-        if not math.isfinite(space.distance(u, v)):
+        hops.append(space.distance(u, v))
+        if not math.isfinite(hops[-1]):
             raise CurveError(f"hop {u!r}->{v!r} crosses components")
+    return hops
 
 
 def make_curve(
@@ -126,8 +117,8 @@ def make_curve(
     # omitted times are the breakpoint indices until validation has passed
     given = range(len(vs)) if times is None else times
     curve = DiscreteCurve(tuple(float(t) for t in given), vs)
-    validate_curve(space, curve)
-    return curve if times is not None else cs_reparam(space, curve)
+    hops = validate_curve(space, curve)
+    return curve if times is not None else _constant_speed(curve, hops)
 
 
 @dataclass(frozen=True)
@@ -220,9 +211,12 @@ def cs_reparam(space: MetricMeasureSpace, curve: DiscreteCurve) -> DiscreteCurve
     metric speed equal to the total length.  The constant curve maps to the
     constant curve.  Applying the map twice reproduces identical times.
     """
+    return _constant_speed(curve, _hop_lengths(space, curve))
+
+
+def _constant_speed(curve: DiscreteCurve, hops: Sequence[float]) -> DiscreteCurve:
     if curve.is_constant:
         return DiscreteCurve((0.0,), curve.vertices)
-    hops = _hop_lengths(space, curve)
     total = sum(hops)
     times = [0.0]
     acc = 0.0

@@ -21,7 +21,7 @@ from .curve import (
     vertex_at,
 )
 from .lipschitz import asymptotic_slope
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, lp_norm
 
 __all__ = [
     "PlanError",
@@ -101,12 +101,7 @@ class BarycenterDensity:
     lam: int
 
     def q_norm(self, space: MetricMeasureSpace, q: float) -> float:
-        if math.isinf(q):
-            return max(self.values[v] for v in space.vertices)
-        return float(
-            sum(self.values[v] ** q * space.measure[v] for v in space.vertices)
-            ** (1.0 / q)
-        )
+        return lp_norm(space, self.values, q)
 
 
 def _weighted_table(space: MetricMeasureSpace, plan: Plan) -> tuple[_HopTable, np.ndarray]:

@@ -15,7 +15,7 @@ from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _worst_curve, asymptotic_slope, path_relax
 from .modulus import modulus, optimal_plan
 from .plans import Plan, _weighted_table, barycenter
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, lp_norm
 
 __all__ = [
     "GradientResult",
@@ -30,16 +30,6 @@ __all__ = [
     "capacity",
     "equivalence_report",
 ]
-
-
-def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:
-    """Measure-weighted p-norm of a vertex function."""
-    if math.isinf(p):
-        return max(abs(float(values[v])) for v in space.vertices)
-    return float(
-        sum(abs(float(values[v])) ** p * space.measure[v] for v in space.vertices)
-        ** (1.0 / p)
-    )
 
 
 @dataclass

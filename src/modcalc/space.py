@@ -214,6 +214,16 @@ def _dijkstra(arcs: list[list[tuple[int, float]]], init: Mapping[int, float]) ->
     return np.array(dist)
 
 
+def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:
+    """Measure-weighted p-norm of a vertex function."""
+    if math.isinf(p):
+        return max(abs(float(values[v])) for v in space.vertices)
+    return float(
+        sum(abs(float(values[v])) ** p * space.measure[v] for v in space.vertices)
+        ** (1.0 / p)
+    )
+
+
 def build_space(spec: Mapping) -> MetricMeasureSpace:
     """Build a validated space from its JSON-style description.
 

@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from modcalc import grid_space, make_curve, path_space
-from modcalc.cli import main
+from modcalc.cli import RunConfig, main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
 
@@ -275,3 +276,59 @@ def test_missing_file_exits_2(files, capsys):
     code, _, err = run(["space-validate", "--space", "/nonexistent.json"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "SpaceError"
+
+
+def test_relax_records_delta_and_m(tmp_path, capsys):
+    grid = grid_space(3, 3)
+    paths = {}
+    for name, obj in [
+        ("space", space_to_json(grid)),
+        ("f", {"values": {v: 0.0 if v == "0,0" else 10.0 for v in grid.vertices}}),
+        ("g", {"values": {v: 2.0 for v in grid.vertices}}),
+        ("C", ["0,0"]),
+    ]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    argv = ["relax"] + [x for k, v in paths.items() for x in (f"--{k}", str(v))]
+    payloads = []
+    for delta in ("1", "0.5"):
+        code, out, _ = run(argv + ["--delta", delta, "--M", "10"], capsys)
+        assert code == 0
+        payloads.append(json.loads(out))
+    first, second = payloads
+    assert first["result"]["relaxed"] != second["result"]["relaxed"]
+    assert first["config"] != second["config"]
+    assert (first["config"]["delta"], first["config"]["M"]) == (1.0, 10.0)
+    assert (second["config"]["delta"], second["config"]["M"]) == (0.5, 10.0)
+
+
+# the required flags of every command; everything else is left at its default
+REQUIRED = {
+    "space-validate": ["space"],
+    "modulus": ["space", "family"],
+    "plan": ["space", "plan"],
+    "gradient": ["space", "family", "f"],
+    "capacity": ["space", "family", "E"],
+    "relax": ["space", "f", "g", "C"],
+    "equivalence": ["space", "f"],
+    "selftest": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_config_defaults_and_help(command, files, capsys):
+    _, p = files
+    inputs = {k: str(p[k]) for k in REQUIRED[command]}
+    argv = [command] + [x for k, v in inputs.items() for x in (f"--{k}", v)]
+    recorded = asdict(RunConfig(command, inputs))
+    if command == "relax":
+        argv += ["--delta", "1", "--M", "10"]
+        recorded.update(delta=1.0, M=10.0)
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["config"] == recorded
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: modcalc {command}" in capsys.readouterr().out

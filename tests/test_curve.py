@@ -35,16 +35,24 @@ def test_length_examples(path3):
 
 
 def test_validation(path3):
-    with pytest.raises(CurveError):
-        make_curve(path3, ["0", "0"])
-    with pytest.raises(CurveError):
-        make_curve(path3, ["0", "1"], [0.0, 0.0])
-    with pytest.raises(CurveError):
+    align = "times and vertices must align and be nonempty"
+    with pytest.raises(CurveError, match=align):
+        make_curve(path3, [])
+    with pytest.raises(CurveError, match=align):
+        make_curve(path3, ["0", "1"], [0.0])
+    with pytest.raises(CurveError, match="unknown vertex 'zz'"):
         make_curve(path3, ["0", "zz"])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(CurveError, match="breakpoint times must be finite"):
+            make_curve(path3, ["0", "1"], [0.0, bad])
+    with pytest.raises(CurveError, match="breakpoint times must be strictly increasing"):
+        make_curve(path3, ["0", "1"], [0.0, 0.0])
+    with pytest.raises(CurveError, match="zero-length hop at '0'"):
+        make_curve(path3, ["0", "0"])
     disconnected = MetricMeasureSpace(
         ["a", "b"], [], {"a": 1.0, "b": 1.0}
     )
-    with pytest.raises(CurveError):
+    with pytest.raises(CurveError, match="hop 'a'->'b' crosses components"):
         make_curve(disconnected, ["a", "b"])
 
 
