@@ -118,7 +118,7 @@ def make_curve(
     given = range(len(vs)) if times is None else times
     curve = DiscreteCurve(tuple(float(t) for t in given), vs)
     hops = validate_curve(space, curve)
-    return curve if times is not None else _constant_speed(curve, hops)
+    return curve if times is not None else _constant_speed(vs, hops)
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,11 @@ class _HopTable:
     start: np.ndarray
     end: np.ndarray
 
-    def matrix(self, lam: int) -> np.ndarray:
-        """Admissibility rows, one per curve: half of each hop length at u,
-        then at v, then for ``lam = 1`` one unit at each curve's start and
-        end, summed in the order a curve-by-curve loop adds them."""
+    def _entries(self, lam: int) -> tuple[np.ndarray, np.ndarray]:
+        """Admissibility entries as flat keys ``curve * n + vertex`` and
+        coefficients: half of each hop length at u, then at v, then for
+        ``lam = 1`` one unit at each curve's start and end, in the order a
+        curve-by-curve loop adds them."""
         k, n = len(self.start), self.n
         keys = np.column_stack((self.cid * n + self.u, self.cid * n + self.v)).ravel()
         coef = np.repeat(0.5 * self.d, 2)
@@ -146,7 +147,28 @@ class _HopTable:
             at = np.arange(k) * n
             ends = np.column_stack((at + self.start, at + self.end)).ravel()
             keys, coef = np.concatenate((keys, ends)), np.concatenate((coef, np.ones(2 * k)))
-        return np.bincount(keys, coef, minlength=k * n).reshape(k, n)
+        return keys, coef
+
+    def matrix(self, lam: int) -> np.ndarray:
+        """Admissibility rows, one per curve, as a dense k x n array."""
+        k, n = len(self.start), self.n
+        return np.bincount(*self._entries(lam), minlength=k * n).reshape(k, n)
+
+    def rows(self, lam: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzeros of ``matrix(lam)`` as padded rows ``(idx, val)``: two
+        k x w arrays of column indices and coefficients, w the widest row,
+        padded with zero coefficients.  Repeated entries are summed in the
+        same order, so every coefficient equals the dense one bit for bit."""
+        keys, coef = self._entries(lam)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        row, col = np.divmod(uniq, self.n)
+        count = np.bincount(row, minlength=len(self.start))
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        idx = np.zeros((len(count), int(count.max(initial=0))), np.intp)
+        val = np.zeros(idx.shape)
+        idx[row, slot] = col
+        val[row, slot] = np.bincount(inv, coef, len(uniq))
+        return idx, val
 
     def single_hops(self) -> "_HopTable":
         """The table of every hop taken as a curve of its own."""
@@ -211,12 +233,14 @@ def cs_reparam(space: MetricMeasureSpace, curve: DiscreteCurve) -> DiscreteCurve
     metric speed equal to the total length.  The constant curve maps to the
     constant curve.  Applying the map twice reproduces identical times.
     """
-    return _constant_speed(curve, _hop_lengths(space, curve))
+    return _constant_speed(curve.vertices, _hop_lengths(space, curve))
 
 
-def _constant_speed(curve: DiscreteCurve, hops: Sequence[float]) -> DiscreteCurve:
-    if curve.is_constant:
-        return DiscreteCurve((0.0,), curve.vertices)
+def _constant_speed(vertices: tuple[str, ...], hops: Sequence[float]) -> DiscreteCurve:
+    """The curve through ``vertices`` on [0, 1] whose hops have the given
+    lengths, at constant speed."""
+    if len(vertices) == 1:
+        return DiscreteCurve((0.0,), vertices)
     total = sum(hops)
     times = [0.0]
     acc = 0.0
@@ -226,7 +250,7 @@ def _constant_speed(curve: DiscreteCurve, hops: Sequence[float]) -> DiscreteCurv
     times[-1] = 1.0
     if any(b <= a for a, b in zip(times, times[1:])):
         raise CurveError("hop lengths too disparate for a float time grid")
-    return DiscreteCurve(tuple(times), curve.vertices)
+    return DiscreteCurve(tuple(times), vertices)
 
 
 def path_integral(

@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .curve import CurveError, DiscreteCurve, curve_from_json, curve_to_json, make_curve
+from .curve import (
+    CurveError,
+    DiscreteCurve,
+    _constant_speed,
+    curve_from_json,
+    curve_to_json,
+    make_curve,
+)
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
 
 __all__ = [
@@ -93,6 +100,24 @@ def _walks(
     return sorted(set(out))
 
 
+def _edge_curves(
+    space: MetricMeasureSpace, seqs: list[tuple[str, ...]]
+) -> tuple[DiscreteCurve, ...]:
+    """Constant-speed curves along enumerated edge walks.  The walks are
+    valid by construction, so ``validate_curve`` is skipped and the hop
+    lengths come from one gather of the distance matrix."""
+    idx = space.index
+    u = [idx[x] for s in seqs for x in s[:-1]]
+    v = [idx[x] for s in seqs for x in s[1:]]
+    d = space._dist[u, v].tolist()
+    curves = []
+    at = 0
+    for s in seqs:
+        curves.append(_constant_speed(s, d[at : at + len(s) - 1]))
+        at += len(s) - 1
+    return tuple(curves)
+
+
 def connecting_family(
     space: MetricMeasureSpace,
     E: Iterable[str],
@@ -112,8 +137,8 @@ def connecting_family(
     if max_hops < 1:
         raise SpaceError("max_hops must be at least 1")
     seqs = _walks(space, src, max_hops, simple_only, lambda s: s[-1] in dst, dst)
-    curves = tuple(make_curve(space, s) for s in seqs)
-    return CurveFamily(curves, label=f"connect({len(src)}->{len(dst)},h<={max_hops})")
+    label = f"connect({len(src)}->{len(dst)},h<={max_hops})"
+    return CurveFamily(_edge_curves(space, seqs), label=label)
 
 
 def family_through(
@@ -134,8 +159,7 @@ def family_through(
         lambda s: any(v in target for v in s),
         space.vertices,
     )
-    curves = tuple(make_curve(space, s) for s in seqs)
-    return CurveFamily(curves, label=f"through({len(target)},h<={max_hops})")
+    return CurveFamily(_edge_curves(space, seqs), label=f"through({len(target)},h<={max_hops})")
 
 
 def endpoints_in(
@@ -153,9 +177,8 @@ def endpoints_in(
     if not anchor:
         return CurveFamily((), label="endpoints(empty)")
     seqs = _walks(space, anchor, max_hops, False, lambda s: s[-1] in anchor, anchor)
-    curves = [make_curve(space, (v,)) for v in sorted(anchor)]
-    curves.extend(make_curve(space, s) for s in seqs)
-    return CurveFamily(tuple(curves), label=f"endpoints({len(anchor)},h<={max_hops})")
+    curves = tuple(make_curve(space, (v,)) for v in sorted(anchor)) + _edge_curves(space, seqs)
+    return CurveFamily(curves, label=f"endpoints({len(anchor)},h<={max_hops})")
 
 
 def explicit_family(curves: Iterable[DiscreteCurve], label: str = "explicit") -> CurveFamily:

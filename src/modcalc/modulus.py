@@ -113,16 +113,17 @@ def modulus(
     if not tol > 0:
         raise ModulusError(f"tol must be positive, got {tol}")
     label = family.label if isinstance(family, CurveFamily) else ""
-    A, curves = admissibility_matrix(space, family, lam)
+    curves = list(family)
     if not curves:
         return ModulusResult(
             0.0, {v: 0.0 for v in space.vertices}, {}, 0.0, p, lam, 0, True, label
         )
-    if np.any(A.sum(axis=1) <= 0):
+    idx, val = _hop_table(space, curves).rows(lam)
+    if np.any(val.sum(axis=1) <= 0):
         # only lam = 0 constant curves produce empty rows: 0 >= 1 is hopeless
         return ModulusResult(math.inf, None, {}, 0.0, p, lam, 0, True, label)
 
-    res = solve_nonneg(A, np.ones(len(curves)), space.measure_vector(), p, tol, max_iter)
+    res = solve_nonneg((idx, val), np.ones(len(curves)), space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
     duals: dict[DiscreteCurve, float] = {}
     for c, w in zip(curves, res.y):

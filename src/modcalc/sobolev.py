@@ -86,11 +86,11 @@ def n_gradient(
     fv = _on_vertices(space, f)
     rhs = np.abs(fv[table.end] - fv[table.start])
     keep = rhs > 0.0
-    A, rhs = table.matrix(0)[keep], rhs[keep]
-    if A.shape[0] == 0:
+    if not keep.any():
         zeros = {v: 0.0 for v in space.vertices}
         return GradientResult(zeros, 0.0, 0.0, label, 0.0, "N", p, 0, True)
-    res = solve_nonneg(A, rhs, space.measure_vector(), p, tol, max_iter)
+    idx, val = table.rows(0)
+    res = solve_nonneg((idx[keep], val[keep]), rhs[keep], space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
     return GradientResult(
         rho,
@@ -305,7 +305,7 @@ def capacity(
         else np.full(n, math.inf)
     )
     res = solve_capacity(
-        table.matrix(0), table.start, table.end, space.measure_vector(), p, lo, hi, tol, max_iter
+        table.rows(0), table.start, table.end, space.measure_vector(), p, lo, hi, tol, max_iter
     )
     f = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
     rho = {v: float(res.x[n + i]) for i, v in enumerate(space.vertices)}

@@ -13,7 +13,7 @@ from modcalc import (
     grid_space,
     path_space,
 )
-from modcalc.curve import validate_curve
+from modcalc.curve import make_curve, validate_curve
 from modcalc.families import _CURVE_BUDGET, family_from_json, family_to_json
 
 
@@ -153,6 +153,8 @@ def test_every_enumerated_curve_validates():
     ):
         for c in fam:
             validate_curve(s, c)
+            # enumeration skips validation but builds the same curve
+            assert c == make_curve(s, c.vertices)
             if not c.is_constant:
                 assert c.times[0] == 0.0 and c.times[-1] == 1.0
 

@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import oracle_min_power
-from modcalc import MetricMeasureSpace, capacity, connecting_family, grid_space
+from helpers import mixed_curves, oracle_min_power, random_connected_space
+from modcalc import MetricMeasureSpace, _solver, capacity, connecting_family, grid_space, n_gradient
 from modcalc._solver import solve_capacity, solve_nonneg
+from modcalc.curve import _hop_table
 
 
 def test_empty_constraint_set():
@@ -127,3 +129,117 @@ def test_capacity_independent_of_vertex_labels(n, p):
         assert res.converged, (seed, res.iterations, res.gap)
         brackets.append((res.value * (1.0 - res.gap), res.value))
     assert max(lo for lo, _ in brackets) <= min(hi for _, hi in brackets) * (1 + 1e-12)
+
+
+def _dense_capacity(C, a_idx, b_idx):
+    """``[[S, C], [-S, C]]`` written out row block by row block."""
+    k, n = C.shape
+    G = np.zeros((2 * k, 2 * n))
+    rows = np.arange(k)
+    for sign, block in ((1.0, rows), (-1.0, rows + k)):
+        G[block, n:] = C
+        G[block, a_idx] = sign
+        G[block, b_idx] -= sign
+    return G
+
+
+def _check_rows(idx, val, A, rng, monkeypatch):
+    """Padded rows against the dense matrix: coefficients bit for bit,
+    products on both storages within 1e-13, polish blocks exactly."""
+    k, n = A.shape
+    assert idx.shape == val.shape and idx.shape[0] == k
+    D = np.zeros_like(A)
+    np.add.at(D, (np.arange(k)[:, None], idx), val)
+    assert D.tobytes() == A.tobytes()
+    assert np.count_nonzero(val) == np.count_nonzero(A)
+    z = rng.uniform(0.0, 2.0, n)
+    y = rng.uniform(0.0, 2.0, k)
+    for fill in (0.0, 1.0):  # dense storage, then padded storage
+        monkeypatch.setattr(_solver, "_SPARSE_FILL", fill)
+        G = _solver._Rows(idx, val, n)
+        assert (G.dense is None) == (fill == 1.0)
+        assert np.allclose(G.dot(z), A @ z, rtol=1e-13, atol=0)
+        assert np.allclose(G.tdot(y), A.T @ y, rtol=1e-13, atol=0)
+        for _ in range(3):
+            rows, cols = rng.random(k) < 0.6, rng.random(n) < 0.7
+            assert G.block(rows, cols).tobytes() == A[np.ix_(rows, cols)].tobytes()
+
+
+def test_padded_rows_match_dense_matrix(monkeypatch):
+    # walks that revisit vertices and constant curves, at lam 0 and 1; the
+    # capacity rows over (f, rho) on the nonconstant curves
+    rng = random.Random(613)
+    nrng = np.random.default_rng(613)
+    for _ in range(10):
+        s = random_connected_space(rng, rng.randint(3, 9), extra_edges=3)
+        curves = mixed_curves(rng, s, rng.randint(1, 10))
+        for lam in (0, 1):
+            table = _hop_table(s, curves)
+            idx, val = table.rows(lam)
+            _check_rows(idx, val, table.matrix(lam), nrng, monkeypatch)
+        table = _hop_table(s, [c for c in curves if not c.is_constant])
+        C = table.matrix(0)
+        cap = _solver._capacity_rows(*table.rows(0), table.start, table.end, len(s))
+        _check_rows(*cap, _dense_capacity(C, table.start, table.end), nrng, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "n, h, simple, sparse",
+    # rows fill 4 / 81 and 11 / 36 of the columns
+    [(9, 3, True, True), (6, 10, False, False)],
+)
+def test_storage_choice_keeps_certificates(monkeypatch, n, h, simple, sparse):
+    s = grid_space(n, n)
+    if simple:
+        fam = connecting_family(s, s.vertices, s.vertices, h, simple_only=True)
+    else:
+        fam = connecting_family(s, ["0,0"], [f"{n - 1},{n - 1}"], h)
+    table = _hop_table(s, list(fam))
+    idx, val = table.rows(0)
+    assert (idx.shape[1] <= _solver._SPARSE_FILL * len(s)) == sparse
+    m = s.measure_vector()
+    rhs = np.ones(len(idx))
+    for p in (1.0, 2.0):
+        # padded rows, the dense matrix (always multiplied densely), and the
+        # padded rows in the storage that the fill rule did not choose
+        runs = [solve_nonneg((idx, val), rhs, m, p), solve_nonneg(table.matrix(0), rhs, m, p)]
+        monkeypatch.setattr(_solver, "_SPARSE_FILL", 0.0 if sparse else 1.0)
+        runs.append(solve_nonneg((idx, val), rhs, m, p))
+        monkeypatch.undo()
+        assert all(r.converged for r in runs)
+        assert max(r.dual_value for r in runs) <= min(r.value for r in runs) * (1 + 1e-12)
+
+
+def _ramp(v: str) -> float:
+    i, j = (int(x) for x in v.split(","))
+    return i + 0.5 * j + 0.3 * math.sin(1.3 * i + 0.7 * j)
+
+
+def test_p4_gradient_insensitive_to_rhs_roundoff():
+    # a scale and an offset of f change the increments only by rounding
+    # (about 1e-15 relative); once, that turned 225 iterations into 11500
+    s = grid_space(20, 20)
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    brackets = []
+    for a, b in ((1.0, 0.0), (1.0656, 0.0), (1.0, 0.9077), (1.0656, 0.9077)):
+        f = {v: b + a * _ramp(v) for v in s.vertices}
+        res = n_gradient(s, f, fam, 4.0, max_iter=1000)
+        assert res.converged, (a, b, res.iterations, res.gap)
+        brackets.append((res.value * (1.0 - res.gap) / a**4, res.value / a**4))
+    assert max(lo for lo, _ in brackets) <= min(hi for _, hi in brackets)
+
+
+def test_gradient_holds_no_dense_constraint_matrix():
+    # the rows reach the solver padded; one dense k x n float64 array of
+    # this family is over twice the traced peak of the whole solve
+    s = grid_space(12, 12)
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    f = {v: _ramp(v) for v in s.vertices}
+    tracemalloc.start()
+    try:
+        res = n_gradient(s, f, fam, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < len(fam) * len(s) * 8
