@@ -25,9 +25,10 @@ iteration (Chambolle & Pock, 2011).
 
 Both cores recover feasible primal points by one scale factor on the
 columns that ``G`` and the box show to be nonnegative with box ``[0, inf)``
-(all of ``x``, or ``rho``), and report a certified relative primal-dual gap,
-so callers can trust ``value`` as an upper bound and ``dual_value`` as a
-lower bound of the true optimum.
+(all of ``x``, or ``rho``); when a run is cut too short to find one, those
+columns are raised to at least 1 and scaled instead.  Both report a
+certified relative primal-dual gap, so callers can trust ``value`` as an
+upper bound and ``dual_value`` as a lower bound of the true optimum.
 
 ``G`` is stored as padded rows (``_Rows``): two k x w arrays holding each
 row's column indices and coefficients, w the widest row, padded with zero
@@ -160,6 +161,7 @@ def solve_nonneg(
     <= optimum <= value``.  The instance is normalized by ``max(rhs)`` before
     solving, so the output is exactly equivariant under scaling of ``rhs``.
     """
+    _check_settings(p, max_iter)
     rhs = np.asarray(rhs, dtype=float)
     m = np.asarray(m, dtype=float)
     n = len(m)
@@ -170,8 +172,6 @@ def solve_nonneg(
         raise ValueError("solve_nonneg needs strictly positive right-hand sides")
     if np.any(val.sum(axis=1) <= 0):
         raise ValueError("solve_nonneg needs rows with positive coefficients")
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
     lo, hi = np.zeros(n), np.full(n, math.inf)
     return _solve(idx, val, rhs, m ** (-1.0 / p), p, lo, hi, tol, max_iter)
 
@@ -197,9 +197,8 @@ def solve_capacity(
     target set, ``hi = 1`` in truncated mode).  The result's ``x`` is
     ``(f, rho)`` concatenated.
     """
+    _check_settings(p, max_iter)
     m = np.asarray(m, dtype=float)
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
     n = len(m)
     a_idx, b_idx = np.asarray(a_idx, np.intp), np.asarray(b_idx, np.intp)
     idx, val = _capacity_rows(*_as_rows(C), a_idx, b_idx, n)
@@ -213,6 +212,13 @@ def solve_capacity(
     # the scalings move f off the box by roundoff; put it back exactly
     np.clip(res.x[:n], lo, hi, out=res.x[:n])
     return res
+
+
+def _check_settings(p: float, max_iter: int | None) -> None:
+    if p < 1.0:
+        raise ValueError(f"p must be at least 1, got {p}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _capacity_rows(
@@ -256,9 +262,17 @@ def _solve(
     J = (np.bincount(idx[val < 0], minlength=n) == 0) & (lo == 0) & np.isinf(hi)
     G = _Rows(idx, val, n)
     if p == 1.0:
-        res = _pdhg(G, r, lo, hi, J, tol, max_iter or 400_000)
+        res = _pdhg(G, r, lo, hi, J, tol, 400_000 if max_iter is None else max_iter)
     else:
-        res = _ascent(G, r, lo, hi, J, p, tol, max_iter or 60_000)
+        res = _ascent(G, r, lo, hi, J, p, tol, 60_000 if max_iter is None else max_iter)
+    if not math.isfinite(res.value):
+        # no feasible point surfaced (a short max_iter); force one from the
+        # returned point with every column of J raised to at least 1
+        z = np.where(J, np.maximum(res.x, 1.0), res.x)
+        zr = _recover(G, r, J, z, G.dot(z))
+        if zr is not None:
+            res.x, res.value = zr, float((zr**p).sum())
+            res.gap = _rel_gap(res.value, res.dual_value)
     res.value *= scale**p
     res.dual_value *= scale**p
     res.x = res.x * (scale * col)
@@ -428,12 +442,6 @@ def _ascent(
         # final polish before reporting the best-effort certificate
         y_pol, g_pol = newton_polish(y, g_y)
         certify(y_pol, *dual_value(y_pol)[:4])
-    if not math.isfinite(best_primal):
-        # no feasible candidate surfaced; force one from the last iterate
-        z = primal_of(np.maximum(G.tdot(np.maximum(y, 1.0)), 1e-12))
-        zr = _recover(G, rhs, J, z, G.dot(z))
-        if zr is not None:
-            best_primal, best_z = float((zr**p).sum()), zr
     gap = _rel_gap(best_primal, best_dual)
     return SolveResult(best_primal, best_z, best_y, gap, best_dual, it, converged or gap <= tol)
 

@@ -33,7 +33,8 @@ EXIT_NO_CONVERGENCE = 3
 
 @dataclass
 class RunConfig:
-    """The settings an artifact records, with their defaults."""
+    """The settings of a run, with their defaults.  An artifact records the
+    command, the inputs and the options that the command declares."""
 
     command: str
     inputs: dict[str, str]
@@ -43,6 +44,8 @@ class RunConfig:
     tol: float = 1e-6
     max_hops: int = 3
     truncated: bool = False
+    delta: float | None = None
+    M: float | None = None
 
     def validate(self) -> None:
         if not (1.0 <= self.p < math.inf):
@@ -75,10 +78,13 @@ def _load_function(path: str, space: MetricMeasureSpace) -> dict[str, float]:
     return values
 
 
-def _emit(config: RunConfig, output: str | None, result: Mapping, **recorded: Any) -> None:
+def _emit(config: RunConfig, output: str | None, result: Mapping) -> None:
     # where the artifact goes is not part of it, so that identical runs
     # give identical bytes whatever the output paths
-    payload = {"config": {**asdict(config), **recorded}, "result": result}
+    options = _COMMANDS[config.command][3].split()
+    recorded = {_FLAGS.get(k, {}).get("dest", k.replace("-", "_")) for k in options}
+    settings = {k: v for k, v in asdict(config).items() if k in recorded | {"command", "inputs"}}
+    payload = {"config": settings, "result": result}
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -193,13 +199,11 @@ def _cmd_capacity(config: RunConfig, space: MetricMeasureSpace, output: str | No
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_relax(
-    config: RunConfig, space: MetricMeasureSpace, output: str | None, delta: float, M: float
-) -> int:
+def _cmd_relax(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     f = _load_function(config.inputs["f"], space)
     g = _load_function(config.inputs["g"], space)
     C = [str(v) for v in _load_json(config.inputs["C"])]
-    _emit(config, output, {"relaxed": path_relax(space, f, g, C, delta, M)}, delta=delta, M=M)
+    _emit(config, output, {"relaxed": path_relax(space, f, g, C, config.delta, config.M)})
     return EXIT_OK
 
 
@@ -259,16 +263,16 @@ _FLAGS: dict[str, dict[str, Any]] = {
 }
 
 # command -> (handler, help, input files, options).  An input file is required
-# unless it ends in "?"; every command also takes --output.  A handler gets the
-# config, the loaded --space, the output path and its options that are not
-# RunConfig fields.
+# unless it ends in "?"; every command also takes --output.  The artifact
+# records the options that are RunConfig fields, given or defaulted; a handler
+# gets the config, the loaded --space, the output path and its other options.
 _COMMANDS = {
-    "space-validate": (_cmd_space_validate, "validate a space file", "space", "tol"),
+    "space-validate": (_cmd_space_validate, "validate a space file", "space", ""),
     "modulus": (_cmd_modulus, "modulus of a curve family", "space family", "p lambda tol"),
-    "plan": (_cmd_plan, "plan diagnostics", "space plan f?", "q lambda tol"),
+    "plan": (_cmd_plan, "plan diagnostics", "space plan f?", "q lambda"),
     "gradient": (_cmd_gradient, "minimal gradient of a function", "space family f", "p tol"),
     "capacity": (_cmd_capacity, "capacity of a vertex set", "space family E", "p truncated tol"),
-    "relax": (_cmd_relax, "shortest-path relaxation of a function", "space f g C", "delta M tol"),
+    "relax": (_cmd_relax, "shortest-path relaxation of a function", "space f g C", "delta M"),
     "equivalence": (
         _cmd_equivalence, "definition-equivalence harness", "space f", "p max-hops tol csv"
     ),

@@ -125,12 +125,18 @@ def modulus(
 
     res = solve_nonneg((idx, val), np.ones(len(curves)), space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
-    duals: dict[DiscreteCurve, float] = {}
-    for c, w in zip(curves, res.y):
-        duals[c] = duals.get(c, 0.0) + float(w)
+    duals = _sum_duals(curves, res.y)
     return ModulusResult(
         res.value, rho, duals, res.gap, p, lam, res.iterations, res.converged, label
     )
+
+
+def _sum_duals(curves: list[DiscreteCurve], y: np.ndarray) -> dict[DiscreteCurve, float]:
+    """Multiplier of every curve, summed over its repeats in the list."""
+    duals: dict[DiscreteCurve, float] = {}
+    for c, w in zip(curves, y.tolist()):
+        duals[c] = duals.get(c, 0.0) + w
+    return duals
 
 
 def optimal_plan(result: ModulusResult, family: CurveFamily | Iterable[DiscreteCurve]) -> Plan:

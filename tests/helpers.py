@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from modcalc import MetricMeasureSpace, make_curve
+from modcalc import MetricMeasureSpace, cycle_space, grid_space, make_curve, path_space
 from modcalc.curve import DiscreteCurve
 
 
@@ -95,6 +95,30 @@ def retimed(rng: random.Random, curve: DiscreteCurve) -> DiscreteCurve:
     for c in cuts:
         t.append(t[-1] + c)
     return curve.with_times(t)
+
+
+def harness_instances(rng: random.Random) -> list:
+    """The ten ``(space, f, p, max_hops)`` instances of the equivalence
+    harness: paths and cycles with the distance to vertex "0", and grids with
+    values drawn uniformly from [0, 2)."""
+    instances = []
+    for n, p in ((5, 1.5), (8, 2.0)):
+        s = path_space(n)
+        instances.append((s, {v: s.distance("0", v) for v in s.vertices}, p, 3))
+    for n, p in ((4, 2.0), (6, 1.5), (9, 2.0)):
+        s = cycle_space(n)
+        instances.append((s, {v: s.distance("0", v) for v in s.vertices}, p, 3))
+    for dims, p, hops in (
+        ((2, 3), 1.5, 3),
+        ((3, 3), 2.0, 3),
+        ((4, 4), 2.0, 2),
+        ((5, 5), 1.5, 2),
+        ((6, 6), 2.0, 2),
+    ):
+        s = grid_space(*dims)
+        f = {v: rng.uniform(0.0, 2.0) for v in s.vertices}
+        instances.append((s, f, p, hops))
+    return instances
 
 
 # -- independent oracles -------------------------------------------------

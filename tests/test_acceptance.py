@@ -10,6 +10,7 @@ import time
 
 from helpers import (
     closed_form_single_curve,
+    harness_instances,
     random_connected_space,
     random_edge_walk,
     random_function,
@@ -22,12 +23,10 @@ from modcalc import (
     compression,
     connecting_family,
     cs_reparam,
-    cycle_space,
     endpoints_in,
     energy,
     equivalence_report,
     explicit_family,
-    grid_space,
     h_gradient_sequence,
     hop_slope_density,
     ibp_identity,
@@ -435,25 +434,7 @@ def test_criterion_10_capacity():
 
 def test_criterion_11_equivalence_harness():
     t0 = time.perf_counter()
-    rng = random.Random(1011)
-    instances = []
-    for n, p in ((5, 1.5), (8, 2.0)):
-        s = path_space(n)
-        instances.append((s, {v: s.distance("0", v) for v in s.vertices}, p, 3))
-    for n, p in ((4, 2.0), (6, 1.5), (9, 2.0)):
-        s = cycle_space(n)
-        instances.append((s, {v: s.distance("0", v) for v in s.vertices}, p, 3))
-    for dims, p, hops in (
-        ((2, 3), 1.5, 3),
-        ((3, 3), 2.0, 3),
-        ((4, 4), 2.0, 2),
-        ((5, 5), 1.5, 2),
-        ((6, 6), 2.0, 2),
-    ):
-        s = grid_space(*dims)
-        f = {v: rng.uniform(0.0, 2.0) for v in s.vertices}
-        instances.append((s, f, p, hops))
-
+    instances = harness_instances(random.Random(1011))
     assert len(instances) == 10
     tol = 1e-6
     ok = True

@@ -1,10 +1,9 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
 from modcalc import grid_space, make_curve, path_space
-from modcalc.cli import RunConfig, main
+from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
 
@@ -314,21 +313,55 @@ REQUIRED = {
     "selftest": [],
 }
 
+# the options each command declares, at their defaults (relax's are required)
+DECLARED = {
+    "space-validate": {},
+    "modulus": {"p": 2.0, "lam": 0, "tol": 1e-6},
+    "plan": {"q": 2.0, "lam": 0},
+    "gradient": {"p": 2.0, "tol": 1e-6},
+    "capacity": {"p": 2.0, "truncated": False, "tol": 1e-6},
+    "relax": {"delta": 1.0, "M": 10.0},
+    "equivalence": {"p": 2.0, "max_hops": 3, "tol": 1e-6},
+    "selftest": {"tol": 1e-6},
+}
+
 
 @pytest.mark.parametrize("command", sorted(REQUIRED))
 def test_config_defaults_and_help(command, files, capsys):
     _, p = files
     inputs = {k: str(p[k]) for k in REQUIRED[command]}
     argv = [command] + [x for k, v in inputs.items() for x in (f"--{k}", v)]
-    recorded = asdict(RunConfig(command, inputs))
     if command == "relax":
         argv += ["--delta", "1", "--M", "10"]
-        recorded.update(delta=1.0, M=10.0)
     code, out, err = run(argv, capsys)
     assert code == 0, err
+    recorded = {"command": command, "inputs": inputs, **DECLARED[command]}
     assert json.loads(out)["config"] == recorded
 
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"usage: modcalc {command}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--p", "0.5"], None),
+        (["--tol", "0"], None),
+        ([], "{not json"),
+        ([], '{"vals": {"0": 0.0, "1": 1.0, "2": 2.0}}'),
+        ([], '{"values": {"0": 0.0, "1": 1.0}}'),
+    ],
+    ids=["p-below-one", "tol-zero", "invalid-json", "no-values", "missing-vertex"],
+)
+def test_validation_exits(flags, text, files, capsys):
+    tmp, p = files
+    f = p["f"]
+    if text is not None:
+        f = tmp / "bad_f.json"
+        f.write_text(text)
+    argv = ["gradient", "--space", str(p["space"]), "--family", str(p["family"])]
+    code, out, err = run(argv + ["--f", str(f)] + flags, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "SpaceError"

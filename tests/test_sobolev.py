@@ -1,9 +1,11 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import (
+    harness_instances,
     mixed_curves,
     oracle_capacity,
     oracle_min_power,
@@ -17,6 +19,7 @@ from helpers import (
 )
 from modcalc import (
     GradientResult,
+    _solver,
     barycenter,
     capacity,
     connecting_family,
@@ -38,6 +41,7 @@ from modcalc import (
 )
 from modcalc.modulus import admissibility_matrix
 from modcalc.plans import point_mass
+from modcalc.sobolev import _harness_family
 from modcalc.space import MetricMeasureSpace
 
 
@@ -302,7 +306,6 @@ def test_h_sequence_grid_errors_nonincreasing():
     rng = random.Random(241)
     g = grid_space(5, 5)
     f = {v: rng.uniform(0.0, 2.0) for v in g.vertices}
-    from modcalc.sobolev import _harness_family
 
     fam = _harness_family(g, 2, g.max_edge_distance())
     grad, steps = h_gradient_sequence(g, f, 2.0, fam, n_steps=4)
@@ -347,6 +350,9 @@ def test_capacity_isolated_vertex():
 def test_capacity_empty_set(path3, subpaths3):
     res = capacity(path3, [], subpaths3, 2.0)
     assert res.value == 0.0
+    # p is checked before the empty-set shortcut
+    with pytest.raises(ValueError):
+        capacity(path3, [], subpaths3, 0.5)
 
 
 def test_capacity_monotone_and_truncation(path3, subpaths3):
@@ -403,3 +409,64 @@ def test_equivalence_report_cycle():
     assert rep["h_exact"]
     assert rep["w_max_violation"] <= 1e-6
     assert rep["n_value"] > 0
+
+
+def _certificate_cases():
+    yield from harness_instances(random.Random(1011))
+    rng = random.Random(277)
+    for p in (1.0, 1.5, 2.0, 4.0):
+        for _ in range(2):
+            s = random_connected_space(rng, rng.randint(4, 8), extra_edges=3)
+            yield s, random_function(rng, s), p, 2
+
+
+def test_equivalence_certificate_is_tight():
+    # the plan is the gradient's own dual: the W certificate meets its bound
+    # with equality up to the solver gap, the duality product is 1 within the
+    # gap, and lift / |Bar|_q is a lower bound on the scipy optimum.  The
+    # oracle comparison allows 1e-7 relative (a tenth of tol) for its own
+    # roundoff; every instance meets it with room to spare.
+    tol = 1e-6
+    for s, f, p, hops in _certificate_cases():
+        rep = equivalence_report(s, f, p, max_hops=hops, tol=tol)
+        (entry,) = rep["subfamilies"]
+        assert entry["label"] == "gradient" and entry["converged"]
+        assert entry["value"] == rep["n_value"] and entry["gap"] == rep["n_gap"]
+
+        fmin = min(f.values())
+        f0 = {v: f[v] - fmin for v in s.vertices}
+        fam = _harness_family(s, hops, s.max_edge_distance())
+        grad = n_gradient(s, f0, fam, p, tol)
+        total = sum(grad.dual_weights.values())
+        lift = sum(w * abs(f0[c.end] - f0[c.start]) for c, w in grad.dual_weights.items()) / total
+
+        assert abs(rep["w_max_violation"]) <= 10 * tol * max(1.0, lift)
+        assert abs(entry["duality_product"] - 1.0) <= entry["gap"] + 1e-9
+
+        A, curves = admissibility_matrix(s, fam, 0)
+        rhs = np.array([abs(f0[c.end] - f0[c.start]) for c in curves])
+        keep = rhs > 0
+        want = oracle_min_power(A[keep], rhs[keep], s.measure_vector(), p)[0] ** (1.0 / p)
+        lower = rep["n_norm"] / entry["duality_product"]  # lift / |Bar|_q
+        assert lower <= want * (1.0 + 1e-7)
+        assert want <= rep["n_norm"] * (1.0 + 1e-7)
+
+
+def test_equivalence_report_solves_once(monkeypatch):
+    # the harness certifies W with the gradient's own dual plan: one convex
+    # solve, the one inside n_gradient
+    calls = []
+    for name in ("solve_nonneg", "solve_capacity"):
+        real = getattr(_solver, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("modcalc") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    s, f, p, hops = harness_instances(random.Random(1011))[-1]
+    rep = equivalence_report(s, f, p, max_hops=hops)
+    assert not rep["constant"]
+    assert calls == ["solve_nonneg"]

@@ -25,6 +25,33 @@ def test_argument_validation():
         solve_nonneg(np.zeros((1, 2)), np.array([1.0]), m, 2.0)
     with pytest.raises(ValueError):
         solve_nonneg(A, np.array([1.0]), m, 0.9)
+    with pytest.raises(ValueError):
+        solve_nonneg(A, np.array([1.0]), m, 2.0, max_iter=0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_one_iteration_reports_a_feasible_bracket(p):
+    # one iteration cannot converge; the result must still be a feasible
+    # point with an honest bracket (this runs the final polish at p > 1 and
+    # the forced recovery of the capacity LP)
+    s = grid_space(4, 4)
+    table = _hop_table(s, list(connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)))
+    A, m, n = table.matrix(0), s.measure_vector(), len(s)
+    res = solve_nonneg(table.rows(0), np.ones(len(A)), m, p, 1e-6, max_iter=1)
+    assert not res.converged and res.iterations == 1
+    assert res.value >= res.dual_value
+    assert np.all(res.x >= 0) and np.all(A @ res.x >= 1.0 - 1e-12)
+
+    lo, hi = np.zeros(n), np.full(n, math.inf)
+    lo[0] = 1.0
+    res = solve_capacity(table.rows(0), table.start, table.end, m, p, lo, hi, 1e-6, max_iter=1)
+    f, rho = res.x[:n], res.x[n:]
+    assert not res.converged and res.iterations == 1
+    assert res.value >= res.dual_value
+    assert np.all(f >= lo) and np.all(rho >= 0)
+    assert np.all(A @ rho >= np.abs(f[table.end] - f[table.start]) - 1e-12)
+    with pytest.raises(ValueError):
+        solve_capacity(table.rows(0), table.start, table.end, m, p, lo, hi, max_iter=0)
 
 
 def test_certificate_sandwich_random_instances():
