@@ -161,7 +161,7 @@ def solve_nonneg(
     <= optimum <= value``.  The instance is normalized by ``max(rhs)`` before
     solving, so the output is exactly equivariant under scaling of ``rhs``.
     """
-    _check_settings(p, max_iter)
+    _check_settings(p, tol, max_iter)
     rhs = np.asarray(rhs, dtype=float)
     m = np.asarray(m, dtype=float)
     n = len(m)
@@ -197,7 +197,7 @@ def solve_capacity(
     target set, ``hi = 1`` in truncated mode).  The result's ``x`` is
     ``(f, rho)`` concatenated.
     """
-    _check_settings(p, max_iter)
+    _check_settings(p, tol, max_iter)
     m = np.asarray(m, dtype=float)
     n = len(m)
     a_idx, b_idx = np.asarray(a_idx, np.intp), np.asarray(b_idx, np.intp)
@@ -214,9 +214,11 @@ def solve_capacity(
     return res
 
 
-def _check_settings(p: float, max_iter: int | None) -> None:
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
+def _check_settings(p: float, tol: float, max_iter: int | None) -> None:
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 

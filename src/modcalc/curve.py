@@ -4,7 +4,6 @@ signed variation and the exact path-level integration-by-parts identity."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -253,6 +252,19 @@ def _constant_speed(vertices: tuple[str, ...], hops: Sequence[float]) -> Discret
     return DiscreteCurve(tuple(times), vertices)
 
 
+def _constant_speed_curves(
+    seqs: Sequence[tuple[str, ...]], hops: Sequence[float]
+) -> list[DiscreteCurve]:
+    """``_constant_speed`` along every vertex sequence, with ``hops`` the hop
+    lengths of all of them in order."""
+    curves = []
+    at = 0
+    for s in seqs:
+        curves.append(_constant_speed(s, hops[at : at + len(s) - 1]))
+        at += len(s) - 1
+    return curves
+
+
 def path_integral(
     space: MetricMeasureSpace, curve: DiscreteCurve, rho: Mapping[str, float]
 ) -> float:
@@ -394,20 +406,6 @@ def q_energy(space: MetricMeasureSpace, curve: DiscreteCurve, q: float) -> float
     return float(
         sum(s**q * (b - a) for s, a, b in zip(speeds, curve.times, curve.times[1:]))
     )
-
-
-def vertex_at(curve: DiscreteCurve, t: float) -> str:
-    """Vertex of the breakpoint nearest in time to ``t`` (ties to the earlier one)."""
-    times = curve.times
-    i = bisect_left(times, t)
-    if i == 0:
-        return curve.vertices[0]
-    if i == len(times):
-        return curve.vertices[-1]
-    before, after = times[i - 1], times[i]
-    if t - before <= after - t:
-        return curve.vertices[i - 1]
-    return curve.vertices[i]
 
 
 def curve_to_json(curve: DiscreteCurve) -> dict:

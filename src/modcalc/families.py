@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .curve import (
     CurveError,
     DiscreteCurve,
-    _constant_speed,
+    _constant_speed_curves,
     curve_from_json,
     curve_to_json,
     make_curve,
@@ -109,13 +109,7 @@ def _edge_curves(
     idx = space.index
     u = [idx[x] for s in seqs for x in s[:-1]]
     v = [idx[x] for s in seqs for x in s[1:]]
-    d = space._dist[u, v].tolist()
-    curves = []
-    at = 0
-    for s in seqs:
-        curves.append(_constant_speed(s, d[at : at + len(s) - 1]))
-        at += len(s) - 1
-    return tuple(curves)
+    return tuple(_constant_speed_curves(seqs, space._dist[u, v].tolist()))
 
 
 def connecting_family(

@@ -76,9 +76,9 @@ def mcshane_extend(
     if not anchor:
         raise SpaceError("mcshane_extend needs a nonempty domain")
     have = lipschitz_constant(space, f_on_subset, anchor)
-    if bound < have - 1e-12 * max(1.0, have):
+    if not bound >= have - 1e-12 * max(1.0, have):
         raise ValueError(
-            f"extension bound {bound} is below the Lipschitz constant {have}"
+            f"extension bound {bound} does not dominate the Lipschitz constant {have}"
         )
     d = space._dist[[space.index[y] for y in anchor]]
     fa = np.array([float(f_on_subset[y]) for y in anchor])

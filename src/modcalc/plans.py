@@ -12,13 +12,12 @@ import numpy as np
 from .curve import (
     DiscreteCurve,
     _HopTable,
+    _constant_speed_curves,
     _hop_table,
     _on_vertices,
-    cs_reparam,
     curve_from_json,
     curve_to_json,
     q_energy,
-    vertex_at,
 )
 from .lipschitz import asymptotic_slope
 from .space import MetricMeasureSpace, lp_norm
@@ -131,22 +130,32 @@ def barycenter(space: MetricMeasureSpace, plan: Plan, lam: int = 0) -> Barycente
 
 def _grid_pushforwards(
     space: MetricMeasureSpace, plan: Plan, n_grid: int
-) -> list[dict[str, float]]:
-    """Vertex masses of the evaluation maps at grid times j/n after
-    constant-speed resampling; the snap rule picks the breakpoint nearest in
-    time (ties to the earlier one)."""
+) -> tuple[_HopTable, np.ndarray, np.ndarray]:
+    """The plan's hop table and weights, and the vertex masses of the
+    evaluation maps at grid times j/n after constant-speed resampling as an
+    ``(n + 1) x len(space)`` array; the snap rule picks the breakpoint
+    nearest in time (ties to the earlier one)."""
     if n_grid < 1:
         raise PlanError("n_grid must be at least 1")
-    resampled = [(cs_reparam(space, c), w) for c, w in plan.support]
-    out: list[dict[str, float]] = []
+    table, w = _weighted_table(space, plan)
+    curves = _constant_speed_curves([c.vertices for c, _ in plan.support], table.d.tolist())
+    # breakpoint times and vertex indices, one row per curve, padded with the
+    # end vertex at time 1
+    hops = np.bincount(table.cid, minlength=len(curves))
+    slot = np.arange(len(table.cid)) - np.repeat(np.cumsum(hops) - hops, hops)
+    times = np.ones((len(curves), int(hops.max(initial=0)) + 1))
+    at = np.repeat(table.end[:, None], times.shape[1], axis=1)
+    times[table.cid, slot] = [t for c in curves for t in c.times[:-1]]
+    at[table.cid, slot] = table.u
+    rows = np.arange(len(curves))
+    masses = np.empty((n_grid + 1, len(space)))
     for j in range(n_grid + 1):
         t = j / n_grid
-        masses: dict[str, float] = {}
-        for c, w in resampled:
-            v = vertex_at(c, t)
-            masses[v] = masses.get(v, 0.0) + w
-        out.append(masses)
-    return out
+        i = (times < t).sum(axis=1)
+        before, after = times[rows, np.maximum(i - 1, 0)], times[rows, i]
+        snap = i - ((i > 0) & (t - before <= after - t))
+        masses[j] = np.bincount(at[rows, snap], w, len(space))
+    return table, w, masses
 
 
 def compression(space: MetricMeasureSpace, plan: Plan, n_grid: int = 64) -> float:
@@ -156,11 +165,8 @@ def compression(space: MetricMeasureSpace, plan: Plan, n_grid: int = 64) -> floa
     graph, so curves are resampled at ``n_grid + 1`` uniform times and each
     time snaps to the nearest breakpoint.
     """
-    best = 0.0
-    for masses in _grid_pushforwards(space, plan, n_grid):
-        for v, massv in masses.items():
-            best = max(best, massv / space.measure[v])
-    return best
+    _, _, masses = _grid_pushforwards(space, plan, n_grid)
+    return float((masses / space.measure_vector()).max())
 
 
 def parametric_barycenter(
@@ -170,18 +176,15 @@ def parametric_barycenter(
     trapezoid-weighted over the uniform grid.  Grid-dependent by contract."""
     if lam not in (0, 1):
         raise PlanError(f"lambda must be 0 or 1, got {lam}")
-    acc = {v: 0.0 for v in space.vertices}
-    pushes = _grid_pushforwards(space, plan, n_grid)
-    for j, masses in enumerate(pushes):
-        wt = (0.5 if j in (0, n_grid) else 1.0) / n_grid
-        for v, massv in masses.items():
-            acc[v] += wt * massv
+    table, w, masses = _grid_pushforwards(space, plan, n_grid)
+    acc = np.zeros(len(space))
+    for j, row in enumerate(masses):
+        acc += (0.5 if j in (0, n_grid) else 1.0) / n_grid * row
     if lam == 1:
-        for c, w in plan.support:
-            acc[c.start] += w
-            acc[c.end] += w
+        # unbuffered, in support order: the sums of a curve-by-curve loop
+        np.add.at(acc, np.column_stack((table.start, table.end)).ravel(), np.repeat(w, 2))
     return BarycenterDensity(
-        {v: acc[v] / space.measure[v] for v in space.vertices}, lam
+        dict(zip(space.vertices, (acc / space.measure_vector()).tolist())), lam
     )
 
 
@@ -226,7 +229,8 @@ def plan_derivation(
     n = len(space)
     half = w[table.cid] * 0.5 * (fv[table.v] - fv[table.u])
     b = (np.bincount(table.u, half, n) + np.bincount(table.v, half, n)) / space.measure_vector()
-    div = np.bincount(table.start, w, n) - np.bincount(table.end, w, n)
+    # bincount returns ints on an empty plan
+    div = (np.bincount(table.start, w, n) - np.bincount(table.end, w, n)).astype(float)
     return dict(zip(space.vertices, b.tolist())), dict(zip(space.vertices, div.tolist()))
 
 

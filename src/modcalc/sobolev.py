@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._solver import solve_capacity, solve_nonneg
+from ._solver import _check_settings, solve_capacity, solve_nonneg
 from .curve import DiscreteCurve, _edge_table, _hop_table, _on_vertices, make_curve
 from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _worst_curve, asymptotic_slope, path_relax
@@ -81,8 +81,7 @@ def n_gradient(
     for nonnegative densities and are dropped.  For ``p > 1`` the optimal
     density is unique by strict convexity.
     """
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
+    _check_settings(p, tol, max_iter)
     label = family.label if isinstance(family, CurveFamily) else ""
     curves = list(family)
     table = _hop_table(space, curves)
@@ -294,8 +293,7 @@ def capacity(
     Empty ``E`` has capacity 0.  Pointwise maxima of witnesses certify
     monotonicity and finite subadditivity at solver tolerance.
     """
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
+    _check_settings(p, tol, max_iter)
     target = space.check_subset(E)
     n = len(space)
     if not target:

@@ -144,8 +144,8 @@ class MetricMeasureSpace:
     def ball(self, center: str, r: float, closed: bool = False) -> frozenset[str]:
         """Open (default) or closed metric ball around ``center``."""
         self._check(center)
-        if r < 0:
-            raise SpaceError(f"negative radius {r}")
+        if not r >= 0:
+            raise SpaceError(f"radius must be nonnegative, got {r}")
         row = self._dist[self._index[center]]
         if closed:
             hit = row <= r

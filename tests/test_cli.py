@@ -134,6 +134,19 @@ def test_plan_command(files, capsys):
     assert result["derivation"]["1"] == pytest.approx(1.0)
 
 
+def test_plan_command_on_empty_plan_writes_floats(files, capsys):
+    tmp, p = files
+    empty = tmp / "empty.json"
+    empty.write_text(json.dumps({"support": []}))
+    argv = ["plan", "--space", str(p["space"]), "--plan", str(empty), "--f", str(p["f"])]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    for field in ("barycenter", "derivation", "divergence"):
+        assert all(type(x) is float for x in result[field].values()), field
+    assert result["compression"] == 0.0 and type(result["compression"]) is float
+
+
 def test_gradient_command(files, capsys):
     _, p = files
     fam_all = {"type": "connecting", "E": ["0", "1", "2"], "F": ["0", "1", "2"], "max_hops": 2, "simple": True}

@@ -76,6 +76,8 @@ def test_mcshane_examples(path3):
     assert ext2 == {"0": 0.0, "1": 1.0, "2": 0.0}
     with pytest.raises(ValueError):
         mcshane_extend(path3, {"0": 0.0, "2": 3.0}, 1.0)
+    with pytest.raises(ValueError):
+        mcshane_extend(path3, {"0": 0.0}, math.nan)
 
 
 def test_slopes_and_extension_match_loops():

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from modcalc import (
     PlanError,
     barycenter,
     compression,
+    cs_reparam,
     derivation_norm_bound,
     energy,
     grid_space,
@@ -236,6 +238,65 @@ def test_restriction_stability():
         assert sub.is_probability
         n = 256
         assert compression(s, sub, n) <= compression(s, plan, n) / mass + 1e-12
+
+
+def reference_grid_masses(space, plan, n_grid):
+    """Evaluation-map masses curve by curve: resample at constant speed, then
+    snap each grid time to the breakpoint nearest in time (ties to the
+    earlier one)."""
+    resampled = [(cs_reparam(space, c), w) for c, w in plan.support]
+    out = []
+    for j in range(n_grid + 1):
+        t = j / n_grid
+        masses = {}
+        for c, w in resampled:
+            i = bisect_left(c.times, t)
+            if i == len(c.times) or (i > 0 and t - c.times[i - 1] <= c.times[i] - t):
+                i -= 1
+            masses[c.vertices[i]] = masses.get(c.vertices[i], 0.0) + w
+        out.append(masses)
+    return out
+
+
+def test_grid_pushforwards_match_curve_by_curve_reference():
+    rng = random.Random(83)
+    spaces = [path_space(5, length) for length in (1.0, 3.0, 0.1)]
+    spaces += [grid_space(3, 3)] + [random_connected_space(rng, rng.randint(3, 7)) for _ in range(4)]
+    for s in spaces:
+        plans = [Plan(())]
+        for _ in range(4):
+            support = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.2:
+                    c = make_curve(s, [rng.choice(s.vertices)])
+                else:
+                    c = random_edge_walk(rng, s, 5)
+                    if rng.random() < 0.4:
+                        cuts = sorted(rng.sample(range(1, 97), len(c.vertices) - 2))
+                        c = c.with_times([0.0] + [k / 97 for k in cuts] + [1.0])
+                support.append((c, rng.uniform(0.1, 2.0)))
+            plans.append(Plan(tuple(support)))
+        for plan in plans:
+            for n_grid in (1, 2, 7, 64):
+                ref = reference_grid_masses(s, plan, n_grid)
+                best = 0.0
+                for masses in ref:
+                    for v, mass in masses.items():
+                        best = max(best, mass / s.measure[v])
+                assert compression(s, plan, n_grid) == best
+                assert is_test_plan(s, plan, 2.0, n_grid)[1] == best
+                for lam in (0, 1):
+                    acc = {v: 0.0 for v in s.vertices}
+                    for j, masses in enumerate(ref):
+                        wt = (0.5 if j in (0, n_grid) else 1.0) / n_grid
+                        for v, mass in masses.items():
+                            acc[v] += wt * mass
+                    if lam == 1:
+                        for c, w in plan.support:
+                            acc[c.start] += w
+                            acc[c.end] += w
+                    want = {v: acc[v] / s.measure[v] for v in s.vertices}
+                    assert parametric_barycenter(s, plan, lam, n_grid).values == want
 
 
 def test_parametric_barycenter_mass(path3):

@@ -355,6 +355,23 @@ def test_capacity_empty_set(path3, subpaths3):
         capacity(path3, [], subpaths3, 0.5)
 
 
+@pytest.mark.parametrize(
+    "p, tol", [(2.0, 0.0), (2.0, -1.0), (2.0, float("nan")), (float("inf"), 1e-6), (float("nan"), 1e-6)]
+)
+def test_settings_checked_before_shortcuts(path3, subpaths3, p, tol):
+    flat = {v: 1.0 for v in path3.vertices}
+    g = grid_space(3, 3)
+    fam = connecting_family(g, g.vertices, g.vertices, 2, simple_only=True)
+    with pytest.raises(ValueError):
+        n_gradient(g, {v: float(i) for i, v in enumerate(g.vertices)}, fam, p, tol, max_iter=50)
+    with pytest.raises(ValueError):  # every increment is zero
+        n_gradient(path3, flat, subpaths3, p, tol)
+    with pytest.raises(ValueError):
+        capacity(path3, ["0"], subpaths3, p, tol, max_iter=50)
+    with pytest.raises(ValueError):  # the empty set
+        capacity(path3, [], subpaths3, p, tol)
+
+
 def test_capacity_monotone_and_truncation(path3, subpaths3):
     tol = 1e-7
     small = capacity(path3, ["0"], subpaths3, 2.0, tol)

@@ -27,6 +27,14 @@ def test_argument_validation():
         solve_nonneg(A, np.array([1.0]), m, 0.9)
     with pytest.raises(ValueError):
         solve_nonneg(A, np.array([1.0]), m, 2.0, max_iter=0)
+    # non-finite p and non-positive or NaN tol are rejected by both entry
+    # points instead of returning a value or spending every iteration
+    box = np.zeros(2), np.full(2, math.inf)
+    for p, tol in ((math.inf, 1e-6), (math.nan, 1e-6), (2.0, 0.0), (2.0, -1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            solve_nonneg(A, np.array([1.0]), m, p, tol, max_iter=50)
+        with pytest.raises(ValueError):
+            solve_capacity(A, np.array([0]), np.array([1]), m, p, *box, tol, max_iter=50)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

@@ -92,6 +92,8 @@ def test_balls():
     with pytest.raises(SpaceError):
         s.ball("1", -1.0)
     with pytest.raises(SpaceError):
+        s.ball("1", math.nan)
+    with pytest.raises(SpaceError):
         s.ball("nope", 1.0)
 
 
