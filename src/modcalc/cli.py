@@ -78,6 +78,13 @@ def _load_function(path: str, space: MetricMeasureSpace) -> dict[str, float]:
     return values
 
 
+def _load_vertices(path: str) -> list[str]:
+    obj = _load_json(path)
+    if not isinstance(obj, list):
+        raise SpaceError(f"{path} must hold a list of vertex ids, got {type(obj).__name__}")
+    return [str(v) for v in obj]
+
+
 def _emit(config: RunConfig, output: str | None, result: Mapping) -> None:
     # where the artifact goes is not part of it, so that identical runs
     # give identical bytes whatever the output paths
@@ -182,7 +189,7 @@ def _cmd_gradient(config: RunConfig, space: MetricMeasureSpace, output: str | No
 
 def _cmd_capacity(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     fam = family_from_json(space, _load_json(config.inputs["family"]))
-    E = [str(v) for v in _load_json(config.inputs["E"])]
+    E = _load_vertices(config.inputs["E"])
     res = capacity(space, E, fam, config.p, config.tol, config.truncated)
     _emit(
         config,
@@ -202,7 +209,7 @@ def _cmd_capacity(config: RunConfig, space: MetricMeasureSpace, output: str | No
 def _cmd_relax(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
     f = _load_function(config.inputs["f"], space)
     g = _load_function(config.inputs["g"], space)
-    C = [str(v) for v in _load_json(config.inputs["C"])]
+    C = _load_vertices(config.inputs["C"])
     _emit(config, output, {"relaxed": path_relax(space, f, g, C, config.delta, config.M)})
     return EXIT_OK
 

@@ -85,25 +85,8 @@ class AtomicMeasureOnCurve:
 
 def validate_curve(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:
     """Check the curve's invariants and return the hop lengths checked."""
-    if len(curve.times) != len(curve.vertices) or not curve.vertices:
-        raise CurveError("times and vertices must align and be nonempty")
-    for v in curve.vertices:
-        if v not in space:
-            raise CurveError(f"unknown vertex {v!r}")
-    for t in curve.times:
-        if not math.isfinite(t):
-            raise CurveError("breakpoint times must be finite")
-    for a, b in zip(curve.times, curve.times[1:]):
-        if not b > a:
-            raise CurveError("breakpoint times must be strictly increasing")
-    hops = []
-    for u, v in zip(curve.vertices, curve.vertices[1:]):
-        if u == v:
-            raise CurveError(f"zero-length hop at {u!r}")
-        hops.append(space.distance(u, v))
-        if not math.isfinite(hops[-1]):
-            raise CurveError(f"hop {u!r}->{v!r} crosses components")
-    return hops
+    _curves(space, [curve.vertices], [curve.times])
+    return _hop_table(space, [curve]).d.tolist()
 
 
 def make_curve(
@@ -112,12 +95,8 @@ def make_curve(
     times: Sequence[float] | None = None,
 ) -> DiscreteCurve:
     """Build a validated curve; omitted times default to constant-speed on [0,1]."""
-    vs = tuple(str(v) for v in vertices)
-    # omitted times are the breakpoint indices until validation has passed
-    given = range(len(vs)) if times is None else times
-    curve = DiscreteCurve(tuple(float(t) for t in given), vs)
-    hops = validate_curve(space, curve)
-    return curve if times is not None else _constant_speed(vs, hops)
+    given = None if times is None else [tuple(float(t) for t in times)]
+    return _curves(space, [tuple(str(v) for v in vertices)], given)[0]
 
 
 @dataclass(frozen=True)
@@ -169,6 +148,30 @@ class _HopTable:
         val[row, slot] = np.bincount(inv, coef, len(uniq))
         return idx, val
 
+    def constant_speed(self, check: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Constant-speed times on [0, 1] and vertex indices of every curve as
+        two k x (w + 1) arrays, w >= 1, padded with the end vertex at time 1:
+        running hop lengths, added in hop order, over the curve's length.
+        Raises ``CurveError`` if two times of a curve that the boolean
+        ``check`` marks (default: all) coincide."""
+        k = len(self.start)
+        hops = np.bincount(self.cid, minlength=k)
+        slot = np.arange(len(self.cid)) - np.repeat(np.cumsum(hops) - hops, hops)
+        times = np.zeros((k, max(int(hops.max(initial=0)), 1) + 1))
+        times[self.cid, slot + 1] = self.d
+        times = np.cumsum(times, axis=1)
+        total = times[:, -1:]
+        times /= np.where(total > 0, total, 1.0)
+        times[np.arange(times.shape[1]) >= np.maximum(hops, 1)[:, None]] = 1.0
+        tied = times[self.cid, slot + 1] <= times[self.cid, slot]
+        if check is not None:
+            tied &= check[self.cid]
+        if tied.any():
+            raise CurveError("hop lengths too disparate for a float time grid")
+        at = np.repeat(self.end[:, None], times.shape[1], axis=1)
+        at[self.cid, slot] = self.u
+        return times, at
+
     def single_hops(self) -> "_HopTable":
         """The table of every hop taken as a curve of its own."""
         return _HopTable(self.n, np.arange(len(self.u)), self.u, self.v, self.d, self.u, self.v)
@@ -192,16 +195,61 @@ class _HopTable:
         return np.bincount(self.cid, 0.5 * (ru + rv) * self.d, minlength=len(self.start))
 
 
-def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
+def _table(space: MetricMeasureSpace, seqs: Sequence[tuple[str, ...]]) -> _HopTable:
+    """The hop table of nonempty vertex sequences, in order."""
     idx = space.index
-    sizes = np.fromiter((len(c.vertices) for c in curves), np.intp, len(curves))
-    flat = np.fromiter((idx[x] for c in curves for x in c.vertices), np.intp, sizes.sum())
+    sizes = np.fromiter(map(len, seqs), np.intp, len(seqs))
+    try:
+        flat = np.fromiter((idx[x] for s in seqs for x in s), np.intp, sizes.sum())
+    except KeyError as exc:
+        raise CurveError(f"unknown vertex {exc.args[0]!r}") from None
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
     u, v = np.delete(flat, last), np.delete(flat, first)
-    cid = np.repeat(np.arange(len(curves)), sizes - 1)
+    cid = np.repeat(np.arange(len(seqs)), sizes - 1)
     # read space._dist in place: distance_matrix() would copy it
     return _HopTable(len(space), cid, u, v, space._dist[u, v], flat[first], flat[last])
+
+
+def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
+    return _table(space, [c.vertices for c in curves])
+
+
+def _curves(
+    space: MetricMeasureSpace,
+    seqs: Sequence[tuple[str, ...]],
+    times: Sequence[tuple[float, ...] | None] | None = None,
+) -> list[DiscreteCurve]:
+    """Validated curves through the vertex sequences ``seqs``, in order: at
+    the breakpoint times ``times[i]`` where given, otherwise at constant
+    speed on [0, 1].  Each check runs over all sequences before the next."""
+    times = [None] * len(seqs) if times is None else times
+    if any(not s or (t is not None and len(t) != len(s)) for s, t in zip(seqs, times)):
+        raise CurveError("times and vertices must align and be nonempty")
+    table = _table(space, seqs)
+    given = [t for t in times if t is not None]
+    flat = np.array([x for t in given for x in t], float)
+    if not np.isfinite(flat).all():
+        raise CurveError("breakpoint times must be finite")
+    # compare consecutive times, except across the end of a curve
+    ends = np.cumsum(np.fromiter(map(len, given), np.intp, len(given)))[:-1] - 1
+    if not np.delete(flat[1:] > flat[:-1], ends).all():
+        raise CurveError("breakpoint times must be strictly increasing")
+    bad = (table.u == table.v) | ~np.isfinite(table.d)
+    if bad.any():
+        j = int(bad.argmax())
+        u, v = space.vertices[table.u[j]], space.vertices[table.v[j]]
+        if u == v:
+            raise CurveError(f"zero-length hop at {u!r}")
+        raise CurveError(f"hop {u!r}->{v!r} crosses components")
+    cs = table.constant_speed(np.fromiter((t is None for t in times), bool, len(times)))[0]
+    # row by row, and with the ends of every curve sharing the objects 0.0
+    # and 1.0, a family takes no more memory than curve-by-curve loops took;
+    # [: len(s)] leaves a constant curve (0.0,)
+    return [
+        DiscreteCurve(t or (0.0, *row[1 : len(s) - 1].tolist(), 1.0)[: len(s)], s)
+        for row, s, t in zip(cs, seqs, times)
+    ]
 
 
 def _edge_table(space: MetricMeasureSpace) -> _HopTable:
@@ -232,37 +280,7 @@ def cs_reparam(space: MetricMeasureSpace, curve: DiscreteCurve) -> DiscreteCurve
     metric speed equal to the total length.  The constant curve maps to the
     constant curve.  Applying the map twice reproduces identical times.
     """
-    return _constant_speed(curve.vertices, _hop_lengths(space, curve))
-
-
-def _constant_speed(vertices: tuple[str, ...], hops: Sequence[float]) -> DiscreteCurve:
-    """The curve through ``vertices`` on [0, 1] whose hops have the given
-    lengths, at constant speed."""
-    if len(vertices) == 1:
-        return DiscreteCurve((0.0,), vertices)
-    total = sum(hops)
-    times = [0.0]
-    acc = 0.0
-    for d in hops:
-        acc += d
-        times.append(acc / total)
-    times[-1] = 1.0
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise CurveError("hop lengths too disparate for a float time grid")
-    return DiscreteCurve(tuple(times), vertices)
-
-
-def _constant_speed_curves(
-    seqs: Sequence[tuple[str, ...]], hops: Sequence[float]
-) -> list[DiscreteCurve]:
-    """``_constant_speed`` along every vertex sequence, with ``hops`` the hop
-    lengths of all of them in order."""
-    curves = []
-    at = 0
-    for s in seqs:
-        curves.append(_constant_speed(s, hops[at : at + len(s) - 1]))
-        at += len(s) - 1
-    return curves
+    return _curves(space, [curve.vertices])[0]
 
 
 def path_integral(
@@ -390,7 +408,7 @@ def q_energy(space: MetricMeasureSpace, curve: DiscreteCurve, q: float) -> float
     raised to ``q``; for ``q = inf`` it is the maximal speed.  Constant-speed
     curves give ``length ** q``.
     """
-    if q < 1:
+    if not q >= 1:
         raise CurveError(f"q must be at least 1, got {q}")
     if curve.is_constant:
         return 0.0
@@ -415,11 +433,19 @@ def curve_to_json(curve: DiscreteCurve) -> dict:
 def curve_from_json(space: MetricMeasureSpace, obj: Mapping) -> DiscreteCurve:
     """Parse ``{"times": [...], "vertices": [...]}``; omitted times mean
     constant-speed parametrization on [0, 1]."""
+    return _curves_from_json(space, [obj])[0]
+
+
+def _curves_from_json(space: MetricMeasureSpace, objs: Sequence[Mapping]) -> list[DiscreteCurve]:
+    """``curve_from_json`` of every object of the list ``objs``."""
+    if not isinstance(objs, list):
+        raise CurveError(f"curve descriptions must form a list, got {type(objs).__name__}")
     try:
-        vertices = [str(v) for v in obj["vertices"]]
+        seqs = [tuple(str(v) for v in obj["vertices"]) for obj in objs]
+        times = [
+            None if obj.get("times") is None else tuple(float(t) for t in obj["times"])
+            for obj in objs
+        ]
     except (KeyError, TypeError) as exc:
         raise CurveError(f"malformed curve description: {exc}") from exc
-    times = obj.get("times")
-    if times is not None:
-        times = [float(t) for t in times]
-    return make_curve(space, vertices, times)
+    return _curves(space, seqs, times)

@@ -8,10 +8,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .curve import (
     CurveError,
     DiscreteCurve,
-    _constant_speed_curves,
-    curve_from_json,
+    _curves,
+    _curves_from_json,
     curve_to_json,
-    make_curve,
 )
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
 
@@ -100,18 +99,6 @@ def _walks(
     return sorted(set(out))
 
 
-def _edge_curves(
-    space: MetricMeasureSpace, seqs: list[tuple[str, ...]]
-) -> tuple[DiscreteCurve, ...]:
-    """Constant-speed curves along enumerated edge walks.  The walks are
-    valid by construction, so ``validate_curve`` is skipped and the hop
-    lengths come from one gather of the distance matrix."""
-    idx = space.index
-    u = [idx[x] for s in seqs for x in s[:-1]]
-    v = [idx[x] for s in seqs for x in s[1:]]
-    return tuple(_constant_speed_curves(seqs, space._dist[u, v].tolist()))
-
-
 def connecting_family(
     space: MetricMeasureSpace,
     E: Iterable[str],
@@ -132,7 +119,7 @@ def connecting_family(
         raise SpaceError("max_hops must be at least 1")
     seqs = _walks(space, src, max_hops, simple_only, lambda s: s[-1] in dst, dst)
     label = f"connect({len(src)}->{len(dst)},h<={max_hops})"
-    return CurveFamily(_edge_curves(space, seqs), label=label)
+    return CurveFamily(tuple(_curves(space, seqs)), label=label)
 
 
 def family_through(
@@ -153,7 +140,7 @@ def family_through(
         lambda s: any(v in target for v in s),
         space.vertices,
     )
-    return CurveFamily(_edge_curves(space, seqs), label=f"through({len(target)},h<={max_hops})")
+    return CurveFamily(tuple(_curves(space, seqs)), label=f"through({len(target)},h<={max_hops})")
 
 
 def endpoints_in(
@@ -171,8 +158,8 @@ def endpoints_in(
     if not anchor:
         return CurveFamily((), label="endpoints(empty)")
     seqs = _walks(space, anchor, max_hops, False, lambda s: s[-1] in anchor, anchor)
-    curves = tuple(make_curve(space, (v,)) for v in sorted(anchor)) + _edge_curves(space, seqs)
-    return CurveFamily(curves, label=f"endpoints({len(anchor)},h<={max_hops})")
+    curves = _curves(space, [(v,) for v in sorted(anchor)] + seqs)
+    return CurveFamily(tuple(curves), label=f"endpoints({len(anchor)},h<={max_hops})")
 
 
 def explicit_family(curves: Iterable[DiscreteCurve], label: str = "explicit") -> CurveFamily:
@@ -191,12 +178,14 @@ def family_from_json(space: MetricMeasureSpace, obj: Mapping) -> CurveFamily:
     except (KeyError, TypeError) as exc:
         raise CurveError(f"malformed family description: {exc}") from exc
     if kind == "explicit":
-        curves = [curve_from_json(space, c) for c in obj.get("curves", [])]
-        return explicit_family(curves)
-    max_hops = int(obj.get("max_hops", 1))
-    E = [str(v) for v in obj.get("E", [])]
+        return explicit_family(_curves_from_json(space, obj.get("curves", [])))
+    try:
+        max_hops = int(obj.get("max_hops", 1))
+    except TypeError as exc:
+        raise CurveError(f"malformed family description: {exc}") from exc
+    E = _vertex_list(obj, "E")
     if kind == "connecting":
-        F = [str(v) for v in obj.get("F", [])]
+        F = _vertex_list(obj, "F")
         fam = connecting_family(
             space, E, F, max_hops, bool(obj.get("simple", False))
         )
@@ -207,6 +196,13 @@ def family_from_json(space: MetricMeasureSpace, obj: Mapping) -> CurveFamily:
     else:
         raise CurveError(f"unknown family type {kind!r}")
     return fam.normalized()
+
+
+def _vertex_list(obj: Mapping, key: str) -> list[str]:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise CurveError(f"family field {key!r} must be a list, got {type(value).__name__}")
+    return [str(v) for v in value]
 
 
 def family_to_json(family: CurveFamily) -> dict:

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._solver import _check_settings, solve_capacity, solve_nonneg
-from .curve import DiscreteCurve, _edge_table, _hop_table, _on_vertices, make_curve
+from .curve import DiscreteCurve, _curves, _edge_table, _hop_table, _on_vertices
 from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _worst_curve, asymptotic_slope, path_relax
 from .modulus import _sum_duals
@@ -326,7 +326,7 @@ def _harness_family(
     near = space._dist <= delta
     np.fill_diagonal(near, False)
     vs = space.vertices
-    pairs = [make_curve(space, (vs[u], vs[v])) for u, v in zip(*np.nonzero(near))]
+    pairs = _curves(space, [(vs[u], vs[v]) for u, v in zip(*np.nonzero(near))])
     fam = walks.union(explicit_family(pairs), label=f"harness(h<={max_hops})")
     return fam.normalized()
 
@@ -391,11 +391,10 @@ def equivalence_report(
     # the gradient's dual multipliers as a probability plan, every curve
     # oriented so that f0 increases along it
     total = sum(grad.dual_weights.values())
-    plan = Plan(tuple(
-        (c if f0[c.end] > f0[c.start] else make_curve(space, c.vertices[::-1]), w / total)
-        for c, w in grad.dual_weights.items()
-        if w > 0.0
-    ))
+    support = [(c, w / total) for c, w in grad.dual_weights.items() if w > 0.0]
+    up = [f0[c.end] > f0[c.start] for c, _ in support]
+    back = iter(_curves(space, [c.vertices[::-1] for (c, _), u in zip(support, up) if not u]))
+    plan = Plan(tuple((c if u else next(back), w) for (c, w), u in zip(support, up)))
     product = None
     if grad.converged:
         q = p / (p - 1.0) if p > 1 else math.inf

@@ -216,6 +216,8 @@ def _dijkstra(arcs: list[list[tuple[int, float]]], init: Mapping[int, float]) ->
 
 def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:
     """Measure-weighted p-norm of a vertex function."""
+    if not p >= 1:
+        raise SpaceError(f"p must be at least 1, got {p}")
     if math.isinf(p):
         return max(abs(float(values[v])) for v in space.vertices)
     return float(

@@ -378,3 +378,33 @@ def test_validation_exits(flags, text, files, capsys):
     code, out, err = run(argv + ["--f", str(f)] + flags, capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "SpaceError"
+
+
+MALFORMED = {
+    "plan-no-curve": ("plan", '{"support": [{"w": 1.0}]}'),
+    "plan-no-w": ("plan", '{"support": [{"curve": {"vertices": ["0", "1"]}}]}'),
+    "plan-item-not-object": ("plan", '{"support": [5]}'),
+    "plan-support-not-list": ("plan", '{"support": {"curve": {"vertices": ["0"]}, "w": 1}}'),
+    "family-max-hops-null": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": null}'),
+    "family-E-not-list": ("family", '{"type": "connecting", "E": "0", "F": ["2"]}'),
+    "family-F-not-list": ("family", '{"type": "connecting", "E": ["0"], "F": 2}'),
+    "family-curves-not-list": ("family", '{"type": "explicit", "curves": 5}'),
+    "E-not-list": ("E", '{"0": 1}'),
+    "C-not-list": ("C", '"0"'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2(name, files, capsys):
+    tmp, p = files
+    key, text = MALFORMED[name]
+    bad = tmp / "bad.json"
+    bad.write_text(text)
+    command = {"plan": "plan", "family": "capacity", "E": "capacity", "C": "relax"}[key]
+    argv = [command] + [x for k in REQUIRED[command] for x in (f"--{k}", str(p[k]))]
+    argv[argv.index(f"--{key}") + 1] = str(bad)
+    if command == "relax":
+        argv += ["--delta", "1", "--M", "10"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] in ("PlanError", "CurveError", "SpaceError")

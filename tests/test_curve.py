@@ -1,15 +1,25 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import random_connected_space, random_edge_walk, random_function, retimed
+from helpers import (
+    random_connected_space,
+    random_disconnected_space,
+    random_edge_walk,
+    random_function,
+    retimed,
+)
 from strategies import spaces_with_walk
 from modcalc import (
     CurveError,
+    DiscreteCurve,
     MetricMeasureSpace,
+    connecting_family,
     cs_reparam,
+    endpoints_in,
     ibp_identity,
     length,
     make_curve,
@@ -21,6 +31,8 @@ from modcalc import (
     variation_measures,
 )
 from modcalc.curve import curve_from_json, curve_to_json
+from modcalc.families import family_from_json
+from modcalc.plans import plan_from_json
 
 
 @pytest.fixture
@@ -246,8 +258,9 @@ def test_q_energy(path3):
     )
     c2 = make_curve(s, ["a", "b", "c"], [0.0, 0.25, 1.0])
     assert q_energy(s, c2, 2.0) == pytest.approx(16.0)
-    with pytest.raises(CurveError):
-        q_energy(path3, c, 0.5)
+    for bad in (0.5, -1.0, math.nan):
+        with pytest.raises(CurveError, match="q must be at least 1"):
+            q_energy(path3, c, bad)
     with pytest.raises(CurveError):
         q_energy(path3, make_curve(path3, ["0", "1"], [0.0, 2.0]), 2.0)
 
@@ -258,3 +271,131 @@ def test_curve_json_round_trip(path3):
     assert c2 == c
     c3 = curve_from_json(path3, {"vertices": ["0", "1", "2"]})
     assert c3.times == (0.0, 0.5, 1.0)
+
+
+def reference_curve(space, vertices, times=None):
+    """The curve rule one curve at a time: the checks in order, then, with
+    omitted times, constant speed from the running hop lengths."""
+    vs = tuple(str(v) for v in vertices)
+    ts = tuple(float(t) for t in (range(len(vs)) if times is None else times))
+    if len(ts) != len(vs) or not vs:
+        raise CurveError("times and vertices must align and be nonempty")
+    for v in vs:
+        if v not in space:
+            raise CurveError(f"unknown vertex {v!r}")
+    for t in ts:
+        if not math.isfinite(t):
+            raise CurveError("breakpoint times must be finite")
+    for a, b in zip(ts, ts[1:]):
+        if not b > a:
+            raise CurveError("breakpoint times must be strictly increasing")
+    hops = []
+    for u, v in zip(vs, vs[1:]):
+        if u == v:
+            raise CurveError(f"zero-length hop at {u!r}")
+        hops.append(space.distance(u, v))
+        if not math.isfinite(hops[-1]):
+            raise CurveError(f"hop {u!r}->{v!r} crosses components")
+    if times is not None:
+        return DiscreteCurve(ts, vs)
+    if len(vs) == 1:
+        return DiscreteCurve((0.0,), vs)
+    # running sums in hop order; the last is the length, as Python's sum
+    # adds it before 3.12
+    acc = list(accumulate(hops))
+    ts = (0.0,) + tuple(a / acc[-1] for a in acc[:-1]) + (1.0,)
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise CurveError("hop lengths too disparate for a float time grid")
+    return DiscreteCurve(ts, vs)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except CurveError as exc:
+        return str(exc)
+
+
+def log_scaled(rng, space):
+    """``space`` with every edge length drawn log-uniformly from [1e-3, 1e3]."""
+    edges = [(u, v, 10 ** rng.uniform(-3, 3)) for u, v, _ in space.edges]
+    return MetricMeasureSpace(space.vertices, edges, space.measure)
+
+
+def test_curves_match_per_curve_reference():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        base = random_disconnected_space(rng, n) if rng.random() < 0.3 else random_connected_space(rng, n)
+        s = log_scaled(rng, base)
+        seqs = [[rng.choice(s.vertices) for _ in range(rng.randint(1, 6))] for _ in range(15)]
+        seqs += [random_edge_walk(rng, s, 6).vertices for _ in range(15)]
+        for seq in seqs:
+            times = None if rng.random() < 0.5 else sorted(rng.uniform(0, 3) for _ in seq)
+            want = outcome(reference_curve, s, seq, times)
+            assert outcome(make_curve, s, seq, times) == want
+            obj = {"vertices": list(seq)} if times is None else {"vertices": list(seq), "times": times}
+            assert outcome(curve_from_json, s, obj) == want
+            if isinstance(want, DiscreteCurve):
+                assert cs_reparam(s, want) == reference_curve(s, want.vertices)
+        for fam in (connecting_family(s, s.vertices[:2], s.vertices, 3), endpoints_in(s, s.vertices[:3], 3)):
+            assert list(fam) == [reference_curve(s, c.vertices) for c in fam]
+
+
+def test_json_curves_with_and_without_times_match_reference():
+    rng = random.Random(43)
+    s = log_scaled(rng, random_connected_space(rng, 9, extra_edges=4))
+    objs, want = [], []
+    for c in connecting_family(s, s.vertices, s.vertices, 3):
+        obj = {"vertices": list(c.vertices)}
+        if rng.random() < 0.5:
+            cuts = sorted(rng.sample(range(1, 97), len(c.vertices) - 2))
+            obj["times"] = [0.0] + [k / 97 for k in cuts] + [1.0]
+        objs.append(obj)
+        want.append(reference_curve(s, obj["vertices"], obj.get("times")))
+    assert list(family_from_json(s, {"type": "explicit", "curves": objs})) == want
+    plan = plan_from_json(s, {"support": [{"curve": o, "w": 0.5} for o in objs]})
+    assert [c for c, _ in plan.support] == want
+
+
+# one defect each, in the order the checks run; "c" lies 1e-17 past "b", so
+# the constant-speed times of a-b-c collapse, and "x" is unreachable
+DISPARATE = MetricMeasureSpace(
+    ["a", "b", "c", "x"], [("a", "b", 1.0), ("b", "c", 1e-17)], {v: 1.0 for v in "abcx"}
+)
+DEFECTS = [
+    ([], None),
+    (["a", "b"], [0.0]),
+    (["a", "zz"], None),
+    (["a", "b"], [0.0, math.inf]),
+    (["a", "b"], [0.0, math.nan]),
+    (["a", "b", "a"], [0.0, 0.5, 0.5]),
+    (["a", "b", "b"], None),
+    (["a", "x"], None),
+    (["a", "b", "c"], None),
+]
+
+
+@pytest.mark.parametrize("seq, times", DEFECTS)
+def test_single_defect_errors_match_reference(seq, times):
+    s = DISPARATE
+    with pytest.raises(CurveError) as ref:
+        reference_curve(s, seq, times)
+    obj = {"vertices": seq} if times is None else {"vertices": seq, "times": times}
+    good = {"vertices": ["c", "b", "a"]}
+    builds = [
+        lambda: make_curve(s, seq, times),
+        lambda: curve_from_json(s, obj),
+        lambda: family_from_json(s, {"type": "explicit", "curves": [good, obj, good]}),
+    ]
+    for build in builds:
+        with pytest.raises(CurveError) as got:
+            build()
+        assert str(got.value) == str(ref.value)
+
+
+def test_given_times_skip_the_constant_speed_check():
+    s = DISPARATE
+    objs = [{"vertices": ["a", "b", "c"], "times": [0.0, 0.5, 1.0]}, {"vertices": ["c", "b", "a"]}]
+    want = [reference_curve(s, o["vertices"], o.get("times")) for o in objs]
+    assert list(family_from_json(s, {"type": "explicit", "curves": objs})) == want

@@ -153,7 +153,7 @@ def test_every_enumerated_curve_validates():
     ):
         for c in fam:
             validate_curve(s, c)
-            # enumeration skips validation but builds the same curve
+            # enumeration builds the curve that make_curve builds
             assert c == make_curve(s, c.vertices)
             if not c.is_constant:
                 assert c.times[0] == 0.0 and c.times[-1] == 1.0

@@ -30,6 +30,7 @@ from modcalc import (
     path_space,
     plan_derivation,
     point_mass,
+    q_energy,
     restrict_plan,
 )
 from modcalc.plans import plan_from_json, plan_to_json
@@ -93,6 +94,27 @@ def test_energy_examples(path3):
     assert energy(path3, mix, math.inf) == pytest.approx(2.0)
     with pytest.raises(PlanError):
         energy(path3, mix, 1.0)
+
+
+def test_energy_matches_curve_by_curve_reference():
+    rng = random.Random(89)
+    for _ in range(40):
+        s = random_connected_space(rng, rng.randint(3, 8), len_range=(1e-3, 1e3))
+        support = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.2:
+                c = make_curve(s, [rng.choice(s.vertices)])
+            else:
+                c = random_edge_walk(rng, s, 6)
+                if rng.random() < 0.5:
+                    cuts = sorted(rng.sample(range(1, 97), len(c.vertices) - 2))
+                    c = c.with_times([0.0] + [k / 97 for k in cuts] + [1.0])
+            support.append((c, rng.uniform(0.1, 2.0)))
+        plan = Plan(tuple(support))
+        for q in (1.5, 2.0, 3.7):
+            assert energy(s, plan, q) == sum(w * q_energy(s, c, q) for c, w in plan.support)
+        want = max((q_energy(s, c, math.inf) for c, _ in plan.support), default=0.0)
+        assert energy(s, plan, math.inf) == want
 
 
 def test_is_test_plan(path3):

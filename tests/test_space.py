@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_distance, random_connected_space, random_disconnected_space
-from modcalc import MetricMeasureSpace, SpaceError, build_space, grid_space, path_space
+from modcalc import MetricMeasureSpace, SpaceError, build_space, grid_space, lp_norm, path_space
 from modcalc.space import space_to_json
 
 
@@ -123,6 +123,15 @@ def test_build_space_malformed():
         build_space({"nodes": []})
     with pytest.raises(SpaceError):
         build_space({"vertices": [{"id": "a", "m": 1.0}], "edges": [{"u": "a"}]})
+
+
+def test_lp_norm_rejects_exponents_below_one():
+    s = path_space(3)
+    ones = {v: 1.0 for v in s.vertices}
+    assert lp_norm(s, ones, 1.0) == 3.0
+    for bad in (math.nan, 0.5, -1.0):
+        with pytest.raises(SpaceError, match="p must be at least 1"):
+            lp_norm(s, ones, bad)
 
 
 def test_disconnected_distance_inf_and_diameter():
