@@ -35,11 +35,15 @@ row's column indices and coefficients, w the widest row, padded with zero
 coefficients.  A path-integral row has at most hops + 1 entries, so on the
 gradient families w is a few columns out of hundreds.  The scalings, the
 column tests and the recovery read the stored entries; ``G z`` is a gather
-and a row sum, ``G^T y`` a ``bincount``, and the Newton polish densifies
-only its active block.  Rows that fill more than ``_SPARSE_FILL`` of the
-columns are multiplied through one dense copy instead.  Callers pass either
-such a pair ``(idx, val)`` (``curve._HopTable.rows``) or a dense array,
-which is stored whole and so always multiplied densely.
+and a row sum, ``G^T y`` a ``bincount`` over the rows whose dual is nonzero
+(all rows when more than half are), and the Newton polish densifies only
+its active block.  ``G z`` is made only where it is read: at the
+extrapolated point of each ascent iteration and for each Newton step, not
+at the trial points of the line searches, which need the dual value alone.
+Rows that fill more than ``_SPARSE_FILL`` of the columns are multiplied
+through one dense copy instead.  Callers pass either such a pair ``(idx,
+val)`` (``curve._HopTable.rows``) or a dense array, which is stored whole
+and so always multiplied densely.
 """
 
 from __future__ import annotations
@@ -55,10 +59,13 @@ _TINY = 1e-300
 _EPS = float(np.finfo(float).eps)
 # Widest padded row, as a share of the columns, that is still multiplied
 # entry by entry; wider rows go through a dense copy and BLAS.  G z + G^T y
-# on two Xeon cores (2 BLAS threads), padded against dense: 0.60 / 2.80 ms
-# at fill 0.01 (18304 x 400), 0.13 / 0.27 ms at 0.04 (3984 x 100), 267 /
-# 271 us at 0.062 (8000 x 64), 311 / 258 us at 0.078 (8000 x 64) and 0.69 /
-# 0.20 ms at 0.36 (8172 x 36): the crossover lies near 0.06.
+# on two Xeon cores (2 BLAS threads), padded with every dual nonzero / with
+# 10 % of them against dense: 0.39 / 0.20 / 2.2 ms at fill 0.01 (18304 x
+# 400), 93 / 51 / 226 us at 0.04 (3984 x 100), 150 / 85 / 179 us at 0.062
+# (8000 x 64), 180 / 102 / 212 us at 0.078 (8000 x 64) and 0.41 / 0.19 /
+# 0.13 ms at 0.36 (8172 x 36).  The crossover now lies above 0.078, but
+# moving the threshold would move instances between the two paths, whose
+# sums differ in their last bits.
 _SPARSE_FILL = 0.06
 
 
@@ -112,6 +119,15 @@ class _Rows:
         """``G.T @ y``."""
         if self.dense is not None:
             return self.dense.T @ y
+        r = np.flatnonzero(y != 0)
+        if 2 * len(r) < len(y):
+            # the rows left out add only +-0 terms, and bincount adds the rest
+            # in the same order, so the sum is bit for bit the full one.  On
+            # the 18304 x 4 rows of the 20x20 gradient (two Xeon cores) the
+            # gathered product takes 25 / 91 / 181 / 428 us at 9 / 30 / 60 /
+            # 100 % nonzero duals, the full one 188-262 us at any support
+            terms = self.val.take(r, 0) * y.take(r)[:, None]
+            return np.bincount(self.idx.take(r, 0).ravel(), terms.ravel(), self.n)
         return np.bincount(self.idx.ravel(), (self.val * y[:, None]).ravel(), self.n)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -327,12 +343,13 @@ def _ascent(
         # argmin of  z^p - w z  over the box, componentwise
         return np.minimum(np.maximum(lo, (np.maximum(w, 0.0) / p) ** expo), hi)
 
-    def dual_value(y: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-        """(g(y), y.rhs, Lagrangian minimizer z, G z, G^T y)."""
+    def dual_value(y: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(g(y), y.rhs, Lagrangian minimizer z, G^T y); the gradient of g
+        is ``rhs - G z``, made only where it is read."""
         w = G.tdot(y)
         z = primal_of(w)
         S = float(y @ rhs)
-        return S + float((z**p - w * z).sum()), S, z, G.dot(z), w
+        return S + float((z**p - w * z).sum()), S, z, w
 
     def newton_polish(y: np.ndarray, g_now: float) -> tuple[np.ndarray, float]:
         """Newton steps on the smooth dual restricted to the active rows.
@@ -344,8 +361,8 @@ def _ascent(
         """
         y = y.copy()
         for _ in range(12):
-            _, _, z, Gz, w = dual_value(y)
-            grad = rhs - Gz
+            _, _, z, w = dual_value(y)
+            grad = rhs - G.dot(z)
             act = (y > 0) | (grad > 0)
             free = (w > 0) & (z > lo) & (z < hi)
             if not act.any() or not free.any():
@@ -411,7 +428,8 @@ def _ascent(
                 y, g_y = y_pol, g_pol
                 yv = y.copy()
                 t_mom = 1.0
-        g_v, S_v, z_v, Gz_v, _ = dual_value(yv)
+        g_v, S_v, z_v, _ = dual_value(yv)
+        Gz_v = G.dot(z_v)
         certify(yv, g_v, S_v, z_v, Gz_v)
         if _rel_gap(best_primal, best_dual) <= tol:
             converged = True
@@ -443,7 +461,8 @@ def _ascent(
     if not converged:
         # final polish before reporting the best-effort certificate
         y_pol, g_pol = newton_polish(y, g_y)
-        certify(y_pol, *dual_value(y_pol)[:4])
+        g_pol, S_pol, z_pol, _ = dual_value(y_pol)
+        certify(y_pol, g_pol, S_pol, z_pol, G.dot(z_pol))
     gap = _rel_gap(best_primal, best_dual)
     return SolveResult(best_primal, best_z, best_y, gap, best_dual, it, converged or gap <= tol)
 

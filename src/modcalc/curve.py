@@ -68,6 +68,8 @@ class DiscreteCurve:
         new = tuple(float(t) for t in times)
         if len(new) != len(self.vertices):
             raise CurveError("retiming must keep the number of breakpoints")
+        if not all(map(math.isfinite, new)):
+            raise CurveError("breakpoint times must be finite")
         if any(b <= a for a, b in zip(new, new[1:])):
             raise CurveError("breakpoint times must be strictly increasing")
         return DiscreteCurve(new, self.vertices)

@@ -265,6 +265,14 @@ def test_q_energy(path3):
         q_energy(path3, make_curve(path3, ["0", "1"], [0.0, 2.0]), 2.0)
 
 
+def test_with_times_rejects_non_finite_times(path3):
+    c = make_curve(path3, ["0", "1", "2"])
+    assert c.with_times([0.0, 0.25, 1.0]).times == (0.0, 0.25, 1.0)
+    for bad in ([0.0, math.nan, 1.0], [0.0, 0.5, math.inf], [-math.inf, 0.5, 1.0]):
+        with pytest.raises(CurveError, match="breakpoint times must be finite"):
+            c.with_times(bad)
+
+
 def test_curve_json_round_trip(path3):
     c = make_curve(path3, ["0", "1", "2"], [0.0, 0.3, 1.0])
     c2 = curve_from_json(path3, curve_to_json(c))

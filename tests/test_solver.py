@@ -278,3 +278,79 @@ def test_gradient_holds_no_dense_constraint_matrix():
         tracemalloc.stop()
     assert res.converged
     assert peak < len(fam) * len(s) * 8
+
+
+def _full_tdot(G, y):
+    """``G.T @ y`` over every stored row, zero duals included."""
+    if G.dense is not None:
+        return G.dense.T @ y
+    return np.bincount(G.idx.ravel(), (G.val * y[:, None]).ravel(), G.n)
+
+
+def _padded_instances():
+    """Hop tables of the simple paths (h <= 3) of the 10x10 and 8x8 grids,
+    whose gradient and capacity rows stay below the dense threshold."""
+    out = []
+    for n in (10, 8):
+        s = grid_space(n, n)
+        fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+        table = _hop_table(s, list(fam))
+        out.append((s, table))
+    return out
+
+
+def test_sparse_tdot_equals_full_rows():
+    (s10, t10), (s8, t8) = _padded_instances()
+    grad = _solver._Rows(*t10.rows(0), len(s10))
+    cap = _solver._Rows(*_solver._capacity_rows(*t8.rows(0), t8.start, t8.end, len(s8)), 2 * len(s8))
+    assert (cap.val < 0).any() and (cap.val == 0).any()
+    rng = np.random.default_rng(29)
+    for G in (grad, cap):
+        assert G.dense is None
+        k = len(G.idx) - len(G.idx) % 2  # an even count has an exact half
+        for support in (0, 1, k // 2 - 1, k // 2, k // 2 + 1, k):
+            y = np.zeros(len(G.idx))
+            on = rng.permutation(k)[:support]
+            y[on] = rng.uniform(0.0, 1.0, support) * 10.0 ** rng.integers(-8, 3, support)
+            # signed zeros among the dropped rows change no bit either
+            y[rng.permutation(np.flatnonzero(y == 0))[: (len(y) - support) // 2]] = -0.0
+            assert np.array_equal(G.tdot(y), _full_tdot(G, y)), support
+
+
+def test_sparse_tdot_keeps_solves_bit_identical(monkeypatch):
+    # _ascent (p = 2) and _pdhg (p = 1) on a gradient and a capacity instance
+    (s10, t10), (s8, t8) = _padded_instances()
+    fv = np.array([_ramp(v) for v in s10.vertices])
+    rhs = np.abs(fv[t10.end] - fv[t10.start])
+    keep = rhs > 0
+    idx, val = t10.rows(0)
+    m10, m8 = s10.measure_vector(), s8.measure_vector()
+    lo = np.array([1.0 if v == "0,0" else 0.0 for v in s8.vertices])
+    hi = np.full(len(s8), math.inf)
+    solves = [
+        lambda p: solve_nonneg((idx[keep], val[keep]), rhs[keep], m10, p),
+        lambda p: solve_capacity(t8.rows(0), t8.start, t8.end, m8, p, lo, hi),
+    ]
+    bits = lambda r: (r.value, r.gap, r.dual_value, r.iterations, r.x.tobytes(), r.y.tobytes())  # noqa: E731
+    for solve in solves:
+        for p in (1.0, 2.0):
+            sparse = solve(p)
+            monkeypatch.setattr(_solver._Rows, "tdot", _full_tdot)
+            full = solve(p)
+            monkeypatch.undo()
+            assert sparse.converged and full.converged
+            assert bits(sparse) == bits(full)
+
+
+def test_ascent_makes_G_z_once_per_iteration(monkeypatch):
+    # the line search reads only the dual value, so before the first polish
+    # (iteration 250) the only product G z is the one at the extrapolated point
+    s = grid_space(10, 10)
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    f = {v: _ramp(v) for v in s.vertices}
+    calls = []
+    dot = _solver._Rows.dot
+    monkeypatch.setattr(_solver._Rows, "dot", lambda G, z: calls.append(1) or dot(G, z))
+    res = n_gradient(s, f, fam, 2.0)
+    assert res.converged and res.iterations < 250
+    assert len(calls) == res.iterations
