@@ -133,13 +133,9 @@ def modulus(
 
 def _sum_duals(curves: list[DiscreteCurve], y: np.ndarray) -> dict[DiscreteCurve, float]:
     """Multiplier of every curve, summed over its repeats in the list."""
-    # one hash per curve when no curve repeats, as in every enumerated
-    # family; 0.0 + w is the sum's first step and turns -0.0 into 0.0
-    duals = dict(zip(curves, (0.0 + y).tolist()))
-    if len(duals) < len(curves):
-        duals = {}
-        for c, w in zip(curves, y.tolist()):
-            duals[c] = duals.get(c, 0.0) + w
+    duals: dict[DiscreteCurve, float] = {}
+    for c, w in zip(curves, y.tolist()):
+        duals[c] = duals.get(c, 0.0) + w
     return duals
 
 

@@ -29,7 +29,7 @@ from modcalc import (
     path_integral,
     path_space,
 )
-from modcalc.modulus import _sum_duals, admissibility_matrix
+from modcalc.modulus import admissibility_matrix
 
 
 @pytest.fixture
@@ -315,20 +315,3 @@ def test_bad_arguments(path3):
         modulus(path3, fam, 2.0, lam=2)
     with pytest.raises(ModulusError):
         modulus(path3, fam, 2.0, tol=0.0)
-
-
-def _sum_duals_reference(curves, y):
-    duals = {}
-    for c, w in zip(curves, y.tolist()):
-        duals[c] = duals.get(c, 0.0) + w
-    return duals
-
-
-def test_sum_duals_matches_curve_by_curve_sum(path3):
-    a, b, c = (make_curve(path3, v) for v in (["0", "1"], ["1", "2"], ["0", "1", "2"]))
-    y = np.array([0.25, -0.0, 1e-300, 0.5])
-    for curves in ([a, b, c, c.with_times([0.0, 0.3, 1.0])], [a, b, a, c], [c, a, c, c]):
-        got, want = _sum_duals(curves, y), _sum_duals_reference(curves, y)
-        # same keys in the same order, same floats with the same sign bits
-        assert list(got) == list(want)
-        assert repr(list(got.values())) == repr(list(want.values()))
