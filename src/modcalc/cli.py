@@ -9,14 +9,15 @@ import math
 import sys
 from csv import DictWriter
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import __version__
 from .curve import CurveError
-from .families import connecting_family, family_from_json
+from .families import CurveFamily, connecting_family, family_from_json
 from .lipschitz import path_relax
 from .modulus import ModulusError, modulus
 from .plans import (
+    Plan,
     PlanError,
     barycenter,
     is_test_plan,
@@ -75,6 +76,9 @@ def _load_function(path: str, space: MetricMeasureSpace) -> dict[str, float]:
     for v in space.vertices:
         if v not in values:
             raise SpaceError(f"function file {path} misses vertex {v!r}")
+    for v, x in values.items():
+        if not math.isfinite(x):
+            raise SpaceError(f"function file {path} has the non-finite value {x} at {v!r}")
     return values
 
 
@@ -116,24 +120,23 @@ def _error(exc: Exception, code: int) -> int:
     return code
 
 
-def _cmd_space_validate(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
-    _emit(
-        config,
-        output,
-        {
-            "vertices": len(space),
-            "edges": len(space.edges),
-            "total_measure": space.mass(),
-            "diameter": space.diameter(),
-        },
-    )
-    return EXIT_OK
+# what a handler returns: the artifact's result and whether its solve converged
+_Out = tuple[dict, bool]
+_Fn = dict[str, float]
 
 
-def _cmd_modulus(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
-    fam = family_from_json(space, _load_json(config.inputs["family"]))
-    res = modulus(space, fam, config.p, config.lam, config.tol)
-    result = {
+def _cmd_space_validate(config: RunConfig, space: MetricMeasureSpace) -> _Out:
+    return {
+        "vertices": len(space),
+        "edges": len(space.edges),
+        "total_measure": space.mass(),
+        "diameter": space.diameter(),
+    }, True
+
+
+def _cmd_modulus(config: RunConfig, space: MetricMeasureSpace, family: CurveFamily) -> _Out:
+    res = modulus(space, family, config.p, config.lam, config.tol)
+    return {
         "value": res.value,
         "rho": res.rho,
         "dual_weights": [
@@ -143,13 +146,12 @@ def _cmd_modulus(config: RunConfig, space: MetricMeasureSpace, output: str | Non
         "gap": res.gap,
         "iterations": res.iterations,
         "converged": res.converged,
-    }
-    _emit(config, output, result)
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    }, res.converged
 
 
-def _cmd_plan(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
-    plan = plan_from_json(space, _load_json(config.inputs["plan"]))
+def _cmd_plan(
+    config: RunConfig, space: MetricMeasureSpace, plan: Plan, f: _Fn | None = None
+) -> _Out:
     ok, comp, eq = is_test_plan(space, plan, config.q)
     result: dict[str, Any] = {
         "mass": plan.mass,
@@ -159,65 +161,46 @@ def _cmd_plan(config: RunConfig, space: MetricMeasureSpace, output: str | None) 
         "energy": eq,
         "barycenter": dict(barycenter(space, plan, config.lam).values),
     }
-    if "f" in config.inputs:
-        f = _load_function(config.inputs["f"], space)
-        b, div = plan_derivation(space, plan, f)
-        result["derivation"] = b
-        result["divergence"] = div
-    _emit(config, output, result)
-    return EXIT_OK
+    if f is not None:
+        result["derivation"], result["divergence"] = plan_derivation(space, plan, f)
+    return result, True
 
 
-def _cmd_gradient(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
-    fam = family_from_json(space, _load_json(config.inputs["family"]))
-    f = _load_function(config.inputs["f"], space)
-    res = n_gradient(space, f, fam, config.p, config.tol)
-    _emit(
-        config,
-        output,
-        {
-            "rho": res.rho,
-            "value": res.value,
-            "p_norm": res.p_norm,
-            "gap": res.gap,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        },
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+def _cmd_gradient(
+    config: RunConfig, space: MetricMeasureSpace, family: CurveFamily, f: _Fn
+) -> _Out:
+    res = n_gradient(space, f, family, config.p, config.tol)
+    return {
+        "rho": res.rho,
+        "value": res.value,
+        "p_norm": res.p_norm,
+        "gap": res.gap,
+        "iterations": res.iterations,
+        "converged": res.converged,
+    }, res.converged
 
 
-def _cmd_capacity(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
-    fam = family_from_json(space, _load_json(config.inputs["family"]))
-    E = _load_vertices(config.inputs["E"])
-    res = capacity(space, E, fam, config.p, config.tol, config.truncated)
-    _emit(
-        config,
-        output,
-        {
-            "value": res.value,
-            "f": res.f,
-            "rho": res.rho,
-            "gap": res.gap,
-            "truncated": res.truncated,
-            "converged": res.converged,
-        },
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+def _cmd_capacity(
+    config: RunConfig, space: MetricMeasureSpace, family: CurveFamily, E: list[str]
+) -> _Out:
+    res = capacity(space, E, family, config.p, config.tol, config.truncated)
+    return {
+        "value": res.value,
+        "f": res.f,
+        "rho": res.rho,
+        "gap": res.gap,
+        "truncated": res.truncated,
+        "converged": res.converged,
+    }, res.converged
 
 
-def _cmd_relax(config: RunConfig, space: MetricMeasureSpace, output: str | None) -> int:
-    f = _load_function(config.inputs["f"], space)
-    g = _load_function(config.inputs["g"], space)
-    C = _load_vertices(config.inputs["C"])
-    _emit(config, output, {"relaxed": path_relax(space, f, g, C, config.delta, config.M)})
-    return EXIT_OK
+def _cmd_relax(config: RunConfig, space: MetricMeasureSpace, f: _Fn, g: _Fn, C: list[str]) -> _Out:
+    return {"relaxed": path_relax(space, f, g, C, config.delta, config.M)}, True
 
 
 def _cmd_equivalence(
-    config: RunConfig, space: MetricMeasureSpace, output: str | None, csv: str | None = None
-) -> int:
-    f = _load_function(config.inputs["f"], space)
+    config: RunConfig, space: MetricMeasureSpace, f: _Fn, csv: str | None = None
+) -> _Out:
     report = equivalence_report(space, f, config.p, config.max_hops, config.tol)
     if csv:
         rows = [
@@ -229,11 +212,10 @@ def _cmd_equivalence(
             for key in ("f_err", "slope_err"):
                 rows.append({"metric": f"h_step_{step['step']}_{key}", "value": step[key]})
         _emit_csv(csv, rows)
-    _emit(config, output, report)
-    return EXIT_OK
+    return report, True
 
 
-def _cmd_selftest(config: RunConfig, _space: None, output: str | None) -> int:
+def _cmd_selftest(config: RunConfig) -> _Out:
     """Deterministic smoke battery on the unit path benchmark."""
     edge = path_space(2)
     single = connecting_family(edge, ["0"], ["1"], 1)
@@ -249,9 +231,21 @@ def _cmd_selftest(config: RunConfig, _space: None, output: str | None) -> int:
         "benchmark_gradient_energy": grad.value,
         "benchmark_ok": abs(grad.value - 8.0 / 3.0) <= 1e-5,
     }
-    _emit(config, output, checks)
-    ok = checks["benchmark_ok"] and checks["single_edge_ok"]
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    return checks, checks["benchmark_ok"] and checks["single_edge_ok"]
+
+
+# input kind -> loader of (path, the loaded --space or None).  The lambdas look
+# the parsers up when they run, so a wrapper put on the module's name (as the
+# traced benchmark does) sees the CLI's loads.
+_LOADERS: dict[str, Callable[[str, Any], Any]] = {
+    "space": lambda path, _: build_space(_load_json(path)),
+    "family": lambda path, space: family_from_json(space, _load_json(path)),
+    "plan": lambda path, space: plan_from_json(space, _load_json(path)),
+    "f": _load_function,
+    "g": _load_function,
+    "E": lambda path, _: _load_vertices(path),
+    "C": lambda path, _: _load_vertices(path),
+}
 
 
 # argparse keywords of the flags that need any.  No flag has a default: the
@@ -271,8 +265,9 @@ _FLAGS: dict[str, dict[str, Any]] = {
 
 # command -> (handler, help, input files, options).  An input file is required
 # unless it ends in "?"; every command also takes --output.  The artifact
-# records the options that are RunConfig fields, given or defaulted; a handler
-# gets the config, the loaded --space, the output path and its other options.
+# records the options that are RunConfig fields, given or defaulted.  A handler
+# gets the config, every given input loaded by kind (in the declared order, so
+# --space first) and its other options, and returns (result, converged).
 _COMMANDS = {
     "space-validate": (_cmd_space_validate, "validate a space file", "space", ""),
     "modulus": (_cmd_modulus, "modulus of a curve family", "space family", "p lambda tol"),
@@ -309,12 +304,15 @@ def main(argv: list[str] | None = None) -> int:
         {k: given.pop(k) for k in inputs.replace("?", "").split() if k in given},
         **{f.name: given.pop(f.name) for f in fields(RunConfig) if f.name in given},
     )
+    output = given.pop("output", None)
     try:
         config.validate()
-        space = None
-        if "space" in config.inputs:
-            space = build_space(_load_json(config.inputs["space"]))
-        return handler(config, space, given.pop("output", None), **given)
+        loaded: dict[str, Any] = {}
+        for key, path in config.inputs.items():
+            loaded[key] = _LOADERS[key](path, loaded.get("space"))
+        result, converged = handler(config, **loaded, **given)
+        _emit(config, output, result)
+        return EXIT_OK if converged else EXIT_NO_CONVERGENCE
     except (SpaceError, CurveError, PlanError, ModulusError, ValueError) as exc:
         return _error(exc, EXIT_VALIDATION)
 

@@ -67,17 +67,20 @@ def _walks(
     max_hops: int,
     simple_only: bool,
     accept: Callable[[tuple[str, ...]], bool],
-    ends: Iterable[str],
+    ends: frozenset[str],
+    through: bool = False,
 ) -> list[tuple[str, ...]]:
-    """Depth-first enumeration of edge walks, deterministic by sorted neighbors.
-    Every accepted walk ends in ``ends``: a walk does not step to a vertex
+    """Depth-first enumeration of edge walks in lexicographic order: starts
+    and neighbors are visited sorted by id, so every walk comes once and after
+    its prefixes.  Every accepted walk ends in ``ends`` (meets them, when
+    ``through``): until then a walk does not start at or step to a vertex
     farther (in hops) from ``ends`` than the hops it has left."""
     out: list[tuple[str, ...]] = []
     idx = space.index
     unit = [[(idx[v], 1) for v, _ in space.neighbors(u)] for u in space.vertices]
     to_ends = dict(zip(space.vertices, _dijkstra(unit, {idx[e]: 0 for e in ends}).tolist()))
 
-    def extend(seq: list[str]) -> None:
+    def extend(seq: list[str], met: bool) -> None:
         if len(seq) > 1 and accept(tuple(seq)):
             if len(out) == _CURVE_BUDGET:
                 raise SpaceError(
@@ -88,15 +91,16 @@ def _walks(
         if len(seq) - 1 >= max_hops:
             return
         for v, _ in space.neighbors(seq[-1]):
-            if (simple_only and v in seq) or to_ends[v] > max_hops - len(seq):
+            if (simple_only and v in seq) or (not met and to_ends[v] > max_hops - len(seq)):
                 continue
             seq.append(v)
-            extend(seq)
+            extend(seq, met or (through and v in ends))
             seq.pop()
 
     for s in sorted(set(starts)):
-        extend([s])
-    return sorted(set(out))
+        if to_ends[s] <= max_hops:
+            extend([s], through and s in ends)
+    return out
 
 
 def connecting_family(
@@ -133,12 +137,7 @@ def family_through(
     if not target:
         return CurveFamily((), label="through(empty)")
     seqs = _walks(
-        space,
-        space.vertices,
-        max_hops,
-        True,
-        lambda s: any(v in target for v in s),
-        space.vertices,
+        space, space.vertices, max_hops, True, lambda s: any(v in target for v in s), target, True
     )
     return CurveFamily(tuple(_curves(space, seqs)), label=f"through({len(target)},h<={max_hops})")
 

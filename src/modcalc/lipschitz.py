@@ -141,7 +141,7 @@ def path_relax(
         raise ValueError(f"cap must be positive, got {cap}")
     check_density(g, space.vertices)
     for c in src:
-        if float(f[c]) < 0:
+        if not float(f[c]) >= 0:
             raise ValueError(f"f must be nonnegative on the source set, got f[{c}]")
 
     near = space._dist <= delta

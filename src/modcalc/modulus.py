@@ -112,6 +112,8 @@ def modulus(
         raise ModulusError(f"p must lie in [1, inf), got {p}")
     if not tol > 0:
         raise ModulusError(f"tol must be positive, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ModulusError(f"max_iter must be at least 1, got {max_iter}")
     label = family.label if isinstance(family, CurveFamily) else ""
     curves = list(family)
     if not curves:

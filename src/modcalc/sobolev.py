@@ -79,13 +79,13 @@ def n_gradient(
 
     Shares the modulus solver.  Constraints with zero increment are vacuous
     for nonnegative densities and are dropped.  For ``p > 1`` the optimal
-    density is unique by strict convexity.
+    density is unique by strict convexity.  A non-finite ``f`` is rejected.
     """
     _check_settings(p, tol, max_iter)
     label = family.label if isinstance(family, CurveFamily) else ""
     curves = list(family)
     table = _hop_table(space, curves)
-    fv = _on_vertices(space, f)
+    fv = _finite_values(space, f)
     rhs = np.abs(fv[table.end] - fv[table.start])
     keep = rhs > 0.0
     if not keep.any():
@@ -107,6 +107,16 @@ def n_gradient(
         res.converged,
         duals,
     )
+
+
+def _finite_values(space: MetricMeasureSpace, f: Mapping[str, float]) -> np.ndarray:
+    """``f`` on the vertices; a NaN would silently drop the constraints it
+    enters (``NaN > 0`` is false), so a non-finite value is an error."""
+    fv = _on_vertices(space, f)
+    bad = np.flatnonzero(~np.isfinite(fv))
+    if bad.size:
+        raise ValueError(f"f must be finite, got {fv[bad[0]]} at {space.vertices[bad[0]]!r}")
+    return fv
 
 
 def hop_slope_density(
@@ -158,14 +168,18 @@ def ug_calculus(
     if worst(fv, rf) is not None or worst(gv, rg) is not None:
         raise ValueError("inputs are not upper gradients on the family")
 
+    # on a set of reals the largest difference quotient is attained at
+    # neighbours in sorted order (the triangle inequality)
     values = sorted(set(fv.tolist()))
-    lip_phi = 0.0
-    for i, a in enumerate(values):
-        for b in values[i + 1 :]:
-            lip_phi = max(lip_phi, abs(phi(b) - phi(a)) / (b - a))
+    phis = [float(phi(x)) for x in values]
+    lip_phi = max(
+        (abs(pb - pa) / (b - a) for a, b, pa, pb in zip(values, values[1:], phis, phis[1:])),
+        default=0.0,
+    )
+    phi_at = dict(zip(values, phis))
 
     worst_sum = worst(fv + gv, rf + rg)
-    worst_chain = worst(np.array([float(phi(x)) for x in fv.tolist()]), lip_phi * rf)
+    worst_chain = worst(np.array([phi_at[x] for x in fv.tolist()]), lip_phi * rf)
     sup_f, sup_g = np.abs(fv).max(), np.abs(gv).max()
     worst_leib = worst(fv * gv, sup_f * rg + sup_g * rf)
 
@@ -348,9 +362,10 @@ def equivalence_report(
     carries the duality product ``|Bar(pi)|_q * |rho|_p / sum_pi |df|``,
     which is 1 up to the certified gap (``None`` unless the solve
     converged).  Returns a flat report with every diagnostic and gap; ``f``
-    is shifted to be nonnegative first (increments are shift-invariant).
+    is shifted to be nonnegative first (increments are shift-invariant) and
+    must be finite.
     """
-    fmin = min(float(f[v]) for v in space.vertices)
+    fmin = float(_finite_values(space, f).min())
     f0 = {v: float(f[v]) - fmin for v in space.vertices}
     fmax = max(f0.values())
     if fmax <= 0:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modcalc import grid_space, make_curve, path_space
+from modcalc import cli, grid_space, make_curve, path_space
 from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
@@ -365,8 +365,9 @@ def test_config_defaults_and_help(command, files, capsys):
         ([], "{not json"),
         ([], '{"vals": {"0": 0.0, "1": 1.0, "2": 2.0}}'),
         ([], '{"values": {"0": 0.0, "1": 1.0}}'),
+        ([], '{"values": {"0": NaN, "1": 1.0, "2": 2.0}}'),
     ],
-    ids=["p-below-one", "tol-zero", "invalid-json", "no-values", "missing-vertex"],
+    ids=["p-below-one", "tol-zero", "invalid-json", "no-values", "missing-vertex", "nan-value"],
 )
 def test_validation_exits(flags, text, files, capsys):
     tmp, p = files
@@ -408,3 +409,41 @@ def test_malformed_input_exits_2(name, files, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] in ("PlanError", "CurveError", "SpaceError")
+
+
+@pytest.mark.parametrize("command", ["modulus", "gradient", "capacity"])
+def test_unconverged_solve_writes_the_artifact_and_exits_3(command, tmp_path, capsys, monkeypatch):
+    grid = grid_space(4, 4)
+    paths = {}
+    for name, obj in [
+        ("space", space_to_json(grid)),
+        ("family", {"type": "connecting", "E": ["0,0"], "F": ["3,3"], "max_hops": 6}),
+        ("f", {"values": {v: float(sum(map(int, v.split(",")))) for v in grid.vertices}}),
+        ("E", ["0,0"]),
+    ]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    solve = {"modulus": "modulus", "gradient": "n_gradient", "capacity": "capacity"}[command]
+    full = getattr(cli, solve)
+    monkeypatch.setattr(cli, solve, lambda *a: full(*a, max_iter=1))
+    out = tmp_path / "out.json"
+    argv = [command] + [x for k in REQUIRED[command] for x in (f"--{k}", str(paths[k]))]
+    # p = 1 takes the LP path, which one iteration leaves open on this grid
+    code, stdout, err = run(argv + ["--p", "1", "--output", str(out)], capsys)
+    assert code == 3 and stdout == "" and err == ""
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is False and result["gap"] > 1e-6
+
+
+def test_inputs_load_through_the_module_parsers(files, capsys, monkeypatch):
+    # the traced benchmark wraps these names on the module: main must look
+    # them up when it loads, not keep the functions it saw at import
+    _, p = files
+    seen = []
+    for name in ("build_space", "family_from_json", "plan_from_json"):
+        parse = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=parse: seen.append(_n) or _f(*a))
+    assert run(["modulus", "--space", str(p["space"]), "--family", str(p["family"])], capsys)[0] == 0
+    assert seen == ["build_space", "family_from_json"]
+    assert run(["plan", "--space", str(p["space"]), "--plan", str(p["plan"])], capsys)[0] == 0
+    assert seen[2:] == ["build_space", "plan_from_json"]

@@ -81,22 +81,22 @@ def test_counts_match_brute_force():
         E = set(rng.sample(s.vertices, rng.randint(1, len(s))))
         F = set(rng.sample(s.vertices, rng.randint(1, len(s))))
 
-        got = connecting_family(s, E, F, hops).normalized()
+        # the enumeration itself lists every walk once, in sorted order
+        got = connecting_family(s, E, F, hops)
         want = sorted({w for w in all_walks if w[0] in E and w[-1] in F})
         assert [c.vertices for c in got] == want
 
-        got_s = connecting_family(s, E, F, hops, simple_only=True).normalized()
+        got_s = connecting_family(s, E, F, hops, simple_only=True)
         want_s = sorted({w for w in all_simple if w[0] in E and w[-1] in F})
         assert [c.vertices for c in got_s] == want_s
 
-        got_t = family_through(s, E, hops).normalized()
+        got_t = family_through(s, E, hops)
         want_t = sorted({w for w in all_simple if any(v in E for v in w)})
         assert [c.vertices for c in got_t] == want_t
 
-        got_e = endpoints_in(s, E, hops).normalized()
-        want_e = sorted(
+        got_e = endpoints_in(s, E, hops)
+        want_e = sorted({(v,) for v in E}) + sorted(
             {w for w in all_walks if w[0] in E and w[-1] in E}
-            | {(v,) for v in E}
         )
         assert [c.vertices for c in got_e] == want_e
 
@@ -122,6 +122,21 @@ def test_pruning_by_hop_distance_keeps_the_family():
 
     g = grid_space(8, 8)
     assert len(connecting_family(g, ["0,0"], ["7,7"], 14)) == math.comb(14, 7)
+
+
+def test_family_through_prunes_walks_out_of_reach(monkeypatch):
+    # a walk that has not met E yet only steps where E stays within the hops
+    # it has left; listing every simple path of the grid called neighbors
+    # 43968 times here
+    g = grid_space(12, 12)
+    calls = []
+    neighbors = MetricMeasureSpace.neighbors
+    monkeypatch.setattr(
+        MetricMeasureSpace, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v)
+    )
+    fam = family_through(g, ["0,0"], 6)
+    assert len(fam) == 772 and all("0,0" in c.vertices for c in fam)
+    assert len(calls) < 2000
 
 
 def test_walk_enumeration_stops_at_the_curve_budget():

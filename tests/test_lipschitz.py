@@ -198,6 +198,8 @@ def test_path_relax_examples(path3):
         path_relax(path3, f, ones, ["0"], 0.0, 1.0)
     with pytest.raises(ValueError):
         path_relax(path3, {"0": -1.0, "1": 0.0, "2": 0.0}, ones, ["0"], 1.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        path_relax(path3, {"0": math.nan, "1": 0.0, "2": 0.0}, ones, ["0"], 1.0, 1.0)
 
 
 def test_path_relax_fixed_point_with_full_slope():

@@ -315,3 +315,6 @@ def test_bad_arguments(path3):
         modulus(path3, fam, 2.0, lam=2)
     with pytest.raises(ModulusError):
         modulus(path3, fam, 2.0, tol=0.0)
+    for family in (fam, explicit_family([])):
+        with pytest.raises(ModulusError, match="max_iter"):
+            modulus(path3, family, 2.0, max_iter=0)

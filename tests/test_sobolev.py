@@ -208,6 +208,45 @@ def test_ug_calculus_rules(path3, subpaths3):
         ug_calculus(path3, f, g, zero, rho_g, lambda t: t, subpaths3)
 
 
+def test_non_finite_f_is_rejected():
+    # a NaN increment used to drop its constraints: n_gradient returned
+    # 3.636... with converged=True where the finite values give 4.0
+    s = path_space(4)
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    assert n_gradient(s, {"0": 0.0, "1": 1.0, "2": 2.0, "3": 3.0}, fam, 2.0).value == (
+        pytest.approx(4.0, rel=1e-5)
+    )
+    for bad in (float("nan"), float("inf")):
+        f = {"0": 0.0, "1": bad, "2": 2.0, "3": 3.0}
+        with pytest.raises(ValueError, match="finite"):
+            n_gradient(s, f, fam, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            equivalence_report(s, f, 2.0)
+    # min and max skip a NaN next to equal values: this f read as constant
+    with pytest.raises(ValueError, match="finite"):
+        equivalence_report(s, {"0": 0.0, "1": float("nan"), "2": 0.0, "3": 0.0}, 2.0)
+
+
+def test_lip_phi_from_sorted_neighbours_matches_all_pairs(path3, subpaths3):
+    rng = random.Random(11)
+    for _ in range(20):
+        f = {v: rng.choice([-2.0, -0.5, 0.0, 1.0, 1.5, 3.0]) for v in path3.vertices}
+        rho = hop_slope_density(path3, f, subpaths3)
+        knots = sorted(rng.uniform(-3, 3) for _ in range(4))
+        slopes = [rng.uniform(-4, 4) for _ in range(5)]
+
+        def phi(t):  # piecewise linear with random kinks
+            return sum(s * min(max(t - k, 0.0), 1.0) for s, k in zip(slopes, [-4.0] + knots))
+
+        values = sorted(set(f.values()))
+        want = max(
+            (abs(phi(b) - phi(a)) / (b - a) for i, a in enumerate(values) for b in values[i + 1 :]),
+            default=0.0,
+        )
+        got = ug_calculus(path3, f, f, rho, rho, phi, subpaths3)["chain"]["lip_phi"]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_ug_calculus_random():
     rng = random.Random(239)
     for _ in range(10):
