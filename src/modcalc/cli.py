@@ -76,9 +76,8 @@ def _load_function(path: str, space: MetricMeasureSpace) -> dict[str, float]:
     for v in space.vertices:
         if v not in values:
             raise SpaceError(f"function file {path} misses vertex {v!r}")
-    for v, x in values.items():
-        if not math.isfinite(x):
-            raise SpaceError(f"function file {path} has the non-finite value {x} at {v!r}")
+        if not math.isfinite(values[v]):
+            raise SpaceError(f"function file {path} has the non-finite value {values[v]} at {v!r}")
     return values
 
 
