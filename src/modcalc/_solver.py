@@ -182,8 +182,6 @@ def solve_nonneg(
     m = np.asarray(m, dtype=float)
     n = len(m)
     idx, val = _as_rows(A)
-    if len(idx) == 0:
-        return SolveResult(0.0, np.zeros(n), np.zeros(0), 0.0, 0.0, 0, True)
     if np.any(rhs <= 0):
         raise ValueError("solve_nonneg needs strictly positive right-hand sides")
     if np.any(val.sum(axis=1) <= 0):

@@ -51,8 +51,6 @@ class RunConfig:
     def validate(self) -> None:
         if not (1.0 <= self.p < math.inf):
             raise SpaceError(f"p must lie in [1, inf), got {self.p}")
-        if self.lam not in (0, 1):
-            raise SpaceError(f"lambda must be 0 or 1, got {self.lam}")
         if not self.tol > 0:
             raise SpaceError(f"tol must be positive, got {self.tol}")
 

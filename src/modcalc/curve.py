@@ -214,7 +214,22 @@ def _table(space: MetricMeasureSpace, seqs: Sequence[tuple[str, ...]]) -> _HopTa
 
 
 def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
-    return _table(space, [c.vertices for c in curves])
+    """The hop table of the curves, with their hops checked: a curve built
+    directly, or on another space, has not been through ``_curves``."""
+    return _checked_hops(space, _table(space, [c.vertices for c in curves]))
+
+
+def _checked_hops(space: MetricMeasureSpace, table: _HopTable) -> _HopTable:
+    """``table``, after checking that no hop has zero length or crosses
+    components."""
+    bad = (table.u == table.v) | ~np.isfinite(table.d)
+    if bad.any():
+        j = int(bad.argmax())
+        u, v = space.vertices[table.u[j]], space.vertices[table.v[j]]
+        if u == v:
+            raise CurveError(f"zero-length hop at {u!r}")
+        raise CurveError(f"hop {u!r}->{v!r} crosses components")
+    return table
 
 
 def _curves(
@@ -237,13 +252,7 @@ def _curves(
     ends = np.cumsum(np.fromiter(map(len, given), np.intp, len(given)))[:-1] - 1
     if not np.delete(flat[1:] > flat[:-1], ends).all():
         raise CurveError("breakpoint times must be strictly increasing")
-    bad = (table.u == table.v) | ~np.isfinite(table.d)
-    if bad.any():
-        j = int(bad.argmax())
-        u, v = space.vertices[table.u[j]], space.vertices[table.v[j]]
-        if u == v:
-            raise CurveError(f"zero-length hop at {u!r}")
-        raise CurveError(f"hop {u!r}->{v!r} crosses components")
+    _checked_hops(space, table)
     cs = table.constant_speed(np.fromiter((t is None for t in times), bool, len(times)))[0]
     # row by row, and with the ends of every curve sharing the objects 0.0
     # and 1.0, a family takes no more memory than curve-by-curve loops took;

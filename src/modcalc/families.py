@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .curve import (
     CurveError,
@@ -57,23 +57,19 @@ class CurveFamily:
     def union(self, other: "CurveFamily", label: str = "") -> "CurveFamily":
         return CurveFamily(self.curves + other.curves, label or self.label)
 
-    def subfamily(self, pick: Callable[[DiscreteCurve], bool], label: str = "") -> "CurveFamily":
-        return CurveFamily(tuple(c for c in self.curves if pick(c)), label)
-
 
 def _walks(
     space: MetricMeasureSpace,
     starts: Iterable[str],
     max_hops: int,
     simple_only: bool,
-    accept: Callable[[tuple[str, ...]], bool],
     ends: frozenset[str],
     through: bool = False,
 ) -> list[tuple[str, ...]]:
     """Depth-first enumeration of edge walks in lexicographic order: starts
     and neighbors are visited sorted by id, so every walk comes once and after
-    its prefixes.  Every accepted walk ends in ``ends`` (meets them, when
-    ``through``): until then a walk does not start at or step to a vertex
+    its prefixes.  A walk is kept when it ends in ``ends`` (meets them, when
+    ``through``): until then it does not start at or step to a vertex
     farther (in hops) from ``ends`` than the hops it has left."""
     out: list[tuple[str, ...]] = []
     idx = space.index
@@ -81,7 +77,8 @@ def _walks(
     to_ends = dict(zip(space.vertices, _dijkstra(unit, {idx[e]: 0 for e in ends}).tolist()))
 
     def extend(seq: list[str], met: bool) -> None:
-        if len(seq) > 1 and accept(tuple(seq)):
+        # met is only ever set when through, and a walk ending in ends has met them
+        if len(seq) > 1 and (met or seq[-1] in ends):
             if len(out) == _CURVE_BUDGET:
                 raise SpaceError(
                     f"the family has more than {_CURVE_BUDGET} curves; enumerating every "
@@ -121,7 +118,7 @@ def connecting_family(
         raise SpaceError("connecting_family needs nonempty endpoint sets")
     if max_hops < 1:
         raise SpaceError("max_hops must be at least 1")
-    seqs = _walks(space, src, max_hops, simple_only, lambda s: s[-1] in dst, dst)
+    seqs = _walks(space, src, max_hops, simple_only, dst)
     label = f"connect({len(src)}->{len(dst)},h<={max_hops})"
     return CurveFamily(tuple(_curves(space, seqs)), label=label)
 
@@ -136,9 +133,7 @@ def family_through(
     target = space.check_subset(E)
     if not target:
         return CurveFamily((), label="through(empty)")
-    seqs = _walks(
-        space, space.vertices, max_hops, True, lambda s: any(v in target for v in s), target, True
-    )
+    seqs = _walks(space, space.vertices, max_hops, True, target, True)
     return CurveFamily(tuple(_curves(space, seqs)), label=f"through({len(target)},h<={max_hops})")
 
 
@@ -156,7 +151,7 @@ def endpoints_in(
     anchor = space.check_subset(E)
     if not anchor:
         return CurveFamily((), label="endpoints(empty)")
-    seqs = _walks(space, anchor, max_hops, False, lambda s: s[-1] in anchor, anchor)
+    seqs = _walks(space, anchor, max_hops, False, anchor)
     curves = _curves(space, [(v,) for v in sorted(anchor)] + seqs)
     return CurveFamily(tuple(curves), label=f"endpoints({len(anchor)},h<={max_hops})")
 
@@ -178,16 +173,11 @@ def family_from_json(space: MetricMeasureSpace, obj: Mapping) -> CurveFamily:
         raise CurveError(f"malformed family description: {exc}") from exc
     if kind == "explicit":
         return explicit_family(_curves_from_json(space, obj.get("curves", [])))
-    try:
-        max_hops = int(obj.get("max_hops", 1))
-    except TypeError as exc:
-        raise CurveError(f"malformed family description: {exc}") from exc
+    max_hops = _typed_field(obj, "max_hops", 1, int)
     E = _vertex_list(obj, "E")
     if kind == "connecting":
         F = _vertex_list(obj, "F")
-        fam = connecting_family(
-            space, E, F, max_hops, bool(obj.get("simple", False))
-        )
+        fam = connecting_family(space, E, F, max_hops, _typed_field(obj, "simple", False, bool))
     elif kind == "through":
         fam = family_through(space, E, max_hops)
     elif kind == "endpoints":
@@ -195,6 +185,15 @@ def family_from_json(space: MetricMeasureSpace, obj: Mapping) -> CurveFamily:
     else:
         raise CurveError(f"unknown family type {kind!r}")
     return fam.normalized()
+
+
+def _typed_field(obj: Mapping, key: str, default, kind: type):
+    """The field ``key`` (``default`` when absent), which must have the JSON
+    type ``kind`` exactly: ``true`` is no ``int``, ``3.7`` no hop count."""
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        raise CurveError(f"family field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _vertex_list(obj: Mapping, key: str) -> list[str]:

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._solver import solve_nonneg
+from ._solver import _check_settings, solve_nonneg
 from .curve import DiscreteCurve, _hop_table, _on_vertices
 from .families import CurveFamily, family_through
 from .plans import Plan
@@ -108,18 +108,12 @@ def modulus(
     """
     if lam not in (0, 1):
         raise ModulusError(f"lambda must be 0 or 1, got {lam}")
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ModulusError(f"p must lie in [1, inf), got {p}")
-    if not tol > 0:
-        raise ModulusError(f"tol must be positive, got {tol}")
-    if max_iter is not None and max_iter < 1:
-        raise ModulusError(f"max_iter must be at least 1, got {max_iter}")
+    try:
+        _check_settings(p, tol, max_iter)
+    except ValueError as exc:
+        raise ModulusError(str(exc)) from None
     label = family.label if isinstance(family, CurveFamily) else ""
     curves = list(family)
-    if not curves:
-        return ModulusResult(
-            0.0, {v: 0.0 for v in space.vertices}, {}, 0.0, p, lam, 0, True, label
-        )
     idx, val = _hop_table(space, curves).rows(lam)
     if np.any(val.sum(axis=1) <= 0):
         # only lam = 0 constant curves produce empty rows: 0 >= 1 is hopeless

@@ -15,7 +15,7 @@ from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _worst_curve, asymptotic_slope, path_relax
 from .modulus import _sum_duals
 from .plans import Plan, _weighted_table, barycenter
-from .space import MetricMeasureSpace, lp_norm
+from .space import MetricMeasureSpace, SpaceError, lp_norm
 
 __all__ = [
     "GradientResult",
@@ -88,9 +88,6 @@ def n_gradient(
     fv = _finite_values(space, f)
     rhs = np.abs(fv[table.end] - fv[table.start])
     keep = rhs > 0.0
-    if not keep.any():
-        zeros = {v: 0.0 for v in space.vertices}
-        return GradientResult(zeros, 0.0, 0.0, label, 0.0, "N", p, 0, True)
     idx, val = table.rows(0)
     res = solve_nonneg((idx[keep], val[keep]), rhs[keep], space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
@@ -365,6 +362,9 @@ def equivalence_report(
     is shifted to be nonnegative first (increments are shift-invariant) and
     must be finite.
     """
+    _check_settings(p, tol, None)
+    if max_hops < 1:
+        raise SpaceError("max_hops must be at least 1")
     fmin = float(_finite_values(space, f).min())
     f0 = {v: float(f[v]) - fmin for v in space.vertices}
     fmax = max(f0.values())

@@ -387,6 +387,10 @@ MALFORMED = {
     "plan-item-not-object": ("plan", '{"support": [5]}'),
     "plan-support-not-list": ("plan", '{"support": {"curve": {"vertices": ["0"]}, "w": 1}}'),
     "family-max-hops-null": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": null}'),
+    "family-max-hops-float": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": 3.7}'),
+    "family-max-hops-string": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": "x"}'),
+    "family-max-hops-bool": ("family", '{"type": "through", "E": ["0"], "max_hops": true}'),
+    "family-simple-string": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": 2, "simple": "false"}'),
     "family-E-not-list": ("family", '{"type": "connecting", "E": "0", "F": ["2"]}'),
     "family-F-not-list": ("family", '{"type": "connecting", "E": ["0"], "F": 2}'),
     "family-curves-not-list": ("family", '{"type": "explicit", "curves": 5}'),

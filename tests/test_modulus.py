@@ -16,6 +16,7 @@ from helpers import (
 from modcalc import (
     CurveError,
     ModulusError,
+    ModulusResult,
     admissible_check,
     barycenter,
     connecting_family,
@@ -96,8 +97,10 @@ def test_rows_and_slacks_match_per_curve_reference():
 
 
 def test_modulus_empty_and_infinite(path3):
+    # the solve of no rows gives the zero result
     res = modulus(path3, explicit_family([]), 2.0)
-    assert res.value == 0.0 and res.gap == 0.0 and res.converged
+    zeros = {v: 0.0 for v in path3.vertices}
+    assert res == ModulusResult(0.0, zeros, {}, 0.0, 2.0, 0, 0, True, "explicit")
 
     const = explicit_family([make_curve(path3, ["1"])])
     res_inf = modulus(path3, const, 2.0, lam=0)

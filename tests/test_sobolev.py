@@ -18,6 +18,8 @@ from helpers import (
     reference_slope_bounded,
 )
 from modcalc import (
+    CurveError,
+    DiscreteCurve,
     GradientResult,
     _solver,
     barycenter,
@@ -40,9 +42,10 @@ from modcalc import (
     w_certificate,
 )
 from modcalc.modulus import admissibility_matrix
+from modcalc import sobolev
 from modcalc.plans import point_mass
 from modcalc.sobolev import _harness_family
-from modcalc.space import MetricMeasureSpace
+from modcalc.space import MetricMeasureSpace, SpaceError
 
 
 @pytest.fixture
@@ -59,9 +62,12 @@ RAMP = {"0": 0.0, "1": 1.0, "2": 2.0}
 
 
 def test_n_gradient_constant(path3, subpaths3):
+    # no increment to dominate: the solve of no rows gives the zero result
     const = {v: 5.0 for v in path3.vertices}
-    res = n_gradient(path3, const, subpaths3, 2.0)
-    assert res.value == 0.0 and res.p_norm == 0.0 and res.converged
+    zeros = {v: 0.0 for v in path3.vertices}
+    for f, fam in [(const, subpaths3), (RAMP, explicit_family([]))]:
+        res = n_gradient(path3, f, fam, 2.0)
+        assert res == GradientResult(zeros, 0.0, 0.0, fam.label, 0.0, "N", 2.0, 0, True, {})
 
 
 def test_n_gradient_benchmark(path3, subpaths3):
@@ -379,6 +385,28 @@ def test_w_certificate(path3, subpaths3):
         w_certificate(path3, f, zero, [])
 
 
+def test_every_hop_table_checks_its_hops():
+    # curves built directly have not been through the validated constructor;
+    # every solve and check that reads them must still reject their hops
+    s = MetricMeasureSpace(["a", "b", "c"], [("a", "b", 1.0)], {v: 1.0 for v in "abc"})
+    across = DiscreteCurve((0.0, 1.0), ("a", "c"))
+    stay = DiscreteCurve((0.0, 0.5, 1.0), ("a", "a", "b"))
+    f = {"a": 0.0, "b": 1.0, "c": 2.0}
+    calls = [
+        lambda: modulus(s, [across], 1.0),
+        lambda: modulus(s, [across], 2.0),
+        lambda: n_gradient(s, f, [across], 2.0),
+        lambda: capacity(s, ["a"], [across], 2.0),
+        lambda: barycenter(s, point_mass(across), 0),
+        lambda: is_upper_gradient(s, f, {v: 0.0 for v in "abc"}, [across]),
+    ]
+    for call in calls:
+        with pytest.raises(CurveError, match="hop 'a'->'c' crosses components"):
+            call()
+    with pytest.raises(CurveError, match="zero-length hop at 'a'"):
+        modulus(s, [stay], 2.0)
+
+
 def test_capacity_isolated_vertex():
     iso = MetricMeasureSpace(["v"], [], {"v": 3.0})
     res = capacity(iso, ["v"], explicit_family([]), 2.0)
@@ -442,10 +470,24 @@ def test_capacity_p1(path3, subpaths3):
     assert res.value == pytest.approx(want, rel=1e-3, abs=1e-5)
 
 
-def test_equivalence_report_constant(path3):
-    rep = equivalence_report(path3, {v: 1.0 for v in path3.vertices}, 2.0)
+def test_equivalence_report_constant(path3, monkeypatch):
+    flat = {v: 1.0 for v in path3.vertices}
+    rep = equivalence_report(path3, flat, 2.0)
     assert rep["constant"]
     assert rep["n_norm"] == 0.0 and rep["w_max_violation"] == 0.0
+
+    # the settings are checked before any work, whatever f is
+    def unreachable(*args):
+        raise AssertionError("the family was enumerated")
+
+    monkeypatch.setattr(sobolev, "_harness_family", unreachable)
+    for f in (flat, RAMP):
+        with pytest.raises(ValueError, match="p must lie"):
+            equivalence_report(path3, f, 0.5)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            equivalence_report(path3, f, 2.0, tol=-1.0)
+        with pytest.raises(SpaceError, match="max_hops must be at least 1"):
+            equivalence_report(path3, f, 2.0, max_hops=0)
 
 
 def test_equivalence_report_benchmark(path3):
