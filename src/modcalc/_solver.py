@@ -231,8 +231,8 @@ def solve_capacity(
 def _check_settings(p: float, tol: float, max_iter: int | None) -> None:
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
@@ -271,6 +271,11 @@ def _solve(
     val /= row[:, None]
     r = rhs / row
     scale = max(float(r.max()), float(lo.max()))
+    try:
+        # the factors that map the scaled value and duals back
+        up, up_y = scale**p, scale ** (p - 1.0)
+    except OverflowError:
+        raise ValueError(f"p = {p} is too large for this problem: {scale}**p overflows") from None
     r /= scale
     lo /= scale
     hi /= scale
@@ -289,10 +294,10 @@ def _solve(
         if zr is not None:
             res.x, res.value = zr, float((zr**p).sum())
             res.gap = _rel_gap(res.value, res.dual_value)
-    res.value *= scale**p
-    res.dual_value *= scale**p
+    res.value *= up
+    res.dual_value *= up
     res.x = res.x * (scale * col)
-    res.y = res.y * (scale ** (p - 1.0) / row)
+    res.y = res.y * (up_y / row)
     return res
 
 

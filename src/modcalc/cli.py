@@ -51,8 +51,8 @@ class RunConfig:
     def validate(self) -> None:
         if not (1.0 <= self.p < math.inf):
             raise SpaceError(f"p must lie in [1, inf), got {self.p}")
-        if not self.tol > 0:
-            raise SpaceError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise SpaceError(f"tol must be positive and finite, got {self.tol}")
 
 
 def _load_json(path: str) -> Any:
@@ -61,6 +61,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SpaceError(f"input file not found: {path}")
+    except OSError as exc:
+        raise SpaceError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SpaceError(f"invalid JSON in {path}: {exc}")
 
@@ -310,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         result, converged = handler(config, **loaded, **given)
         _emit(config, output, result)
         return EXIT_OK if converged else EXIT_NO_CONVERGENCE
-    except (SpaceError, CurveError, PlanError, ModulusError, ValueError) as exc:
+    except (SpaceError, CurveError, PlanError, ModulusError, ValueError, OSError) as exc:
+        # an OSError here is an artifact or CSV that could not be written
         return _error(exc, EXIT_VALIDATION)
 
 

@@ -113,6 +113,14 @@ def _worst_curve(table: _HopTable, f: np.ndarray, rho: np.ndarray, tol: float) -
     return int(over[np.argmax(violation[over])]) if over.size else None
 
 
+def _relax_hops(space: MetricMeasureSpace, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(u, v)`` of the distinct vertices at distance at most
+    ``delta``, in row-major order: the hops that ``path_relax`` may take."""
+    near = space._dist <= delta
+    np.fill_diagonal(near, False)
+    return np.nonzero(near)
+
+
 def path_relax(
     space: MetricMeasureSpace,
     f: Mapping[str, float],
@@ -144,9 +152,7 @@ def path_relax(
         if not float(f[c]) >= 0:
             raise ValueError(f"f must be nonnegative on the source set, got f[{c}]")
 
-    near = space._dist <= delta
-    np.fill_diagonal(near, False)
-    u, v = np.nonzero(near)
+    u, v = _relax_hops(space, delta)
     gv = _on_vertices(space, g)
     cost = 0.5 * (gv[u] + gv[v]) * space._dist[u, v]
     arcs: list[list[tuple[int, float]]] = [[] for _ in space.vertices]

@@ -12,8 +12,8 @@ import numpy as np
 from ._solver import _check_settings, solve_capacity, solve_nonneg
 from .curve import DiscreteCurve, _curves, _edge_table, _hop_table, _on_vertices
 from .families import CurveFamily, connecting_family, explicit_family
-from .lipschitz import _worst_curve, asymptotic_slope, path_relax
-from .modulus import _sum_duals
+from .lipschitz import _relax_hops, _worst_curve, asymptotic_slope, path_relax
+from .modulus import ModulusError, _sum_duals, optimal_plan
 from .plans import Plan, _weighted_table, barycenter
 from .space import MetricMeasureSpace, SpaceError, lp_norm
 
@@ -334,10 +334,8 @@ def _harness_family(
     """Edge walks up to ``max_hops`` plus the one-hop curve of every vertex
     pair within ``delta``, so relaxation hops are exactly constrained."""
     walks = connecting_family(space, space.vertices, space.vertices, max_hops)
-    near = space._dist <= delta
-    np.fill_diagonal(near, False)
     vs = space.vertices
-    pairs = _curves(space, [(vs[u], vs[v]) for u, v in zip(*np.nonzero(near))])
+    pairs = _curves(space, [(vs[u], vs[v]) for u, v in zip(*_relax_hops(space, delta))])
     fam = walks.union(explicit_family(pairs), label=f"harness(h<={max_hops})")
     return fam.normalized()
 
@@ -352,15 +350,16 @@ def equivalence_report(
     """Numerically exercise the agreement of the gradient estimators.
 
     Computes the minimal-gradient density over a hop-bounded family and runs
-    the constructive relaxation sequence.  The gradient's own dual
-    multipliers, normalised and oriented along increasing ``f``, form a
-    probability plan ``pi``; the integration-by-parts inequality is certified
-    against it, and its one ``subfamilies`` entry (label ``"gradient"``)
-    carries the duality product ``|Bar(pi)|_q * |rho|_p / sum_pi |df|``,
-    which is 1 up to the certified gap (``None`` unless the solve
-    converged).  Returns a flat report with every diagnostic and gap; ``f``
-    is shifted to be nonnegative first (increments are shift-invariant) and
-    must be finite.
+    the constructive relaxation sequence.  The plan ``pi`` is
+    ``optimal_plan`` of the gradient's own dual multipliers, every curve
+    oriented along increasing ``f``; it is empty when no curve carries dual
+    mass.  The integration-by-parts inequality is certified against it, and
+    its one ``subfamilies`` entry (label ``"gradient"``) carries the duality
+    product ``|Bar(pi)|_q * |rho|_p / sum_pi |df|``, which is 1 up to the
+    certified gap (``None`` unless the solve converged and ``pi`` is
+    nonempty).  Returns a flat report with every diagnostic and gap, with
+    the same keys for a constant ``f``; ``f`` is shifted to be nonnegative
+    first (increments are shift-invariant) and must be finite.
     """
     _check_settings(p, tol, None)
     if max_hops < 1:
@@ -368,65 +367,44 @@ def equivalence_report(
     fmin = float(_finite_values(space, f).min())
     f0 = {v: float(f[v]) - fmin for v in space.vertices}
     fmax = max(f0.values())
-    if fmax <= 0:
-        zeros = {v: 0.0 for v in space.vertices}
-        return {
-            "p": p,
-            "constant": True,
-            "rho_N": zeros,
-            "n_value": 0.0,
-            "n_norm": 0.0,
-            "n_gap": 0.0,
-            "h_steps": [],
-            "h_exact": True,
-            "h_slope_bounded": True,
-            "h_terminal_slope_err": 0.0,
-            "w_max_violation": 0.0,
-            "subfamilies": [],
-            "family_size": 0,
-        }
-
-    delta = space.max_edge_distance()
-    if delta <= 0:
-        delta = max(space.diameter(), 1.0)
-    fam = _harness_family(space, max_hops, delta)
+    constant = fmax <= 0
+    # an edgeless space has no hops to relax along, whatever delta is
+    delta = space.max_edge_distance() or 1.0
+    # a constant f has the zero gradient, which the empty family gives
+    fam = explicit_family([]) if constant else _harness_family(space, max_hops, delta)
     grad = n_gradient(space, f0, fam, p, tol)
-    grad_steps = h_gradient_sequence(
-        space,
-        f0,
-        p,
-        fam,
-        n_steps=3,
-        tol=tol,
-        delta=delta,
-        cap=fmax,
-        gradient=grad,
-    )[1]
-
-    # the gradient's dual multipliers as a probability plan, every curve
-    # oriented so that f0 increases along it
-    total = sum(grad.dual_weights.values())
-    support = [(c, w / total) for c, w in grad.dual_weights.items() if w > 0.0]
-    up = [f0[c.end] > f0[c.start] for c, _ in support]
-    back = iter(_curves(space, [c.vertices[::-1] for (c, _), u in zip(support, up) if not u]))
-    plan = Plan(tuple((c if u else next(back), w) for (c, w), u in zip(support, up)))
-    product = None
-    if grad.converged:
-        q = p / (p - 1.0) if p > 1 else math.inf
-        lift = sum(w * (f0[c.end] - f0[c.start]) for c, w in plan.support)
-        product = barycenter(space, plan, 0).q_norm(space, q) * grad.p_norm / lift
-    entry = {
-        "label": "gradient",
-        "value": grad.value,
-        "gap": grad.gap,
-        "converged": grad.converged,
-        "duality_product": product,
-    }
-    wreport = w_certificate(space, f0, grad.rho, [plan])
-    terminal = grad_steps[-1]
+    steps, subfamilies, violation = [], [], 0.0
+    if not constant:
+        steps = h_gradient_sequence(
+            space, f0, p, fam, n_steps=3, tol=tol, delta=delta, cap=fmax, gradient=grad
+        )[1]
+        # the gradient's optimal plan, every curve oriented so that f0
+        # increases along it; empty when no curve carries dual mass
+        try:
+            support = optimal_plan(grad, fam).support
+        except ModulusError:
+            support = ()
+        up = [f0[c.end] > f0[c.start] for c, _ in support]
+        back = iter(_curves(space, [c.vertices[::-1] for (c, _), u in zip(support, up) if not u]))
+        plan = Plan(tuple((c if u else next(back), w) for (c, w), u in zip(support, up)))
+        product = None
+        if grad.converged and support:
+            q = p / (p - 1.0) if p > 1 else math.inf
+            lift = sum(w * (f0[c.end] - f0[c.start]) for c, w in plan.support)
+            product = barycenter(space, plan, 0).q_norm(space, q) * grad.p_norm / lift
+        subfamilies = [
+            {
+                "label": "gradient",
+                "value": grad.value,
+                "gap": grad.gap,
+                "converged": grad.converged,
+                "duality_product": product,
+            }
+        ]
+        violation = w_certificate(space, f0, grad.rho, [plan])["max_violation"]
     return {
         "p": p,
-        "constant": False,
+        "constant": constant,
         "rho_N": grad.rho,
         "n_value": grad.value,
         "n_norm": grad.p_norm,
@@ -440,12 +418,12 @@ def equivalence_report(
                 "exact": s.exact,
                 "slope_bounded": s.slope_bounded,
             }
-            for s in grad_steps
+            for s in steps
         ],
-        "h_exact": all(s.exact for s in grad_steps),
-        "h_slope_bounded": all(s.slope_bounded for s in grad_steps),
-        "h_terminal_slope_err": terminal.slope_err,
-        "w_max_violation": wreport["max_violation"],
-        "subfamilies": [entry],
+        "h_exact": all(s.exact for s in steps),
+        "h_slope_bounded": all(s.slope_bounded for s in steps),
+        "h_terminal_slope_err": steps[-1].slope_err if steps else 0.0,
+        "w_max_violation": violation,
+        "subfamilies": subfamilies,
         "family_size": len(fam),
     }

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modcalc import cli, grid_space, make_curve, path_space
+from modcalc import MetricMeasureSpace, cli, grid_space, make_curve, path_space
 from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
@@ -238,6 +238,27 @@ def test_equivalence_command_with_csv(files, capsys, tmp_path):
     assert csv_path.exists() and "n_value" in csv_path.read_text()
 
 
+def test_equivalence_command_without_dual_mass(tmp_path, capsys):
+    # f is constant on each component of the space, so the plan is empty
+    space = MetricMeasureSpace(list("abcd"), [("a", "b", 1.0), ("c", "d", 1.0)], dict.fromkeys("abcd", 1.0))
+    argv = ["equivalence"]
+    for name, obj in [("space", space_to_json(space)), ("f", {"values": {"a": 0, "b": 0, "c": 1, "d": 1}})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    (entry,) = json.loads(out)["result"]["subfamilies"]
+    assert entry["duality_product"] is None
+
+
+def test_overflowing_p_exits_2(files, capsys):
+    _, p = files
+    argv = ["gradient", "--space", str(p["space"]), "--family", str(p["family"]), "--f", str(p["f"])]
+    code, out, err = run(argv + ["--p", "1e308"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_selftest_and_output_file(files, capsys, tmp_path):
     out_path = tmp_path / "self.json"
     code, out, _ = run(["selftest", "--output", str(out_path)], capsys)
@@ -285,9 +306,19 @@ def test_modulus_infinite_value(files, capsys, tmp_path):
 
 
 def test_missing_file_exits_2(files, capsys):
-    code, _, err = run(["space-validate", "--space", "/nonexistent.json"], capsys)
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "SpaceError"
+    tmp, p = files
+    nowhere = str(tmp / "missing" / "out.json")
+    equivalence = ["equivalence", "--space", str(p["space"]), "--f", str(p["f"])]
+    for argv, kind in [
+        (["space-validate", "--space", "/nonexistent.json"], "SpaceError"),
+        (["space-validate", "--space", str(tmp)], "SpaceError"),  # a directory
+        # an artifact or CSV path in a missing directory
+        (["space-validate", "--space", str(p["space"]), "--output", nowhere], "FileNotFoundError"),
+        (equivalence + ["--csv", nowhere], "FileNotFoundError"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["type"] == kind
 
 
 def test_relax_records_delta_and_m(tmp_path, capsys):
@@ -366,8 +397,9 @@ def test_config_defaults_and_help(command, files, capsys):
         ([], '{"vals": {"0": 0.0, "1": 1.0, "2": 2.0}}'),
         ([], '{"values": {"0": 0.0, "1": 1.0}}'),
         ([], '{"values": {"0": NaN, "1": 1.0, "2": 2.0}}'),
+        (["--tol", "inf"], None),
     ],
-    ids=["p-below-one", "tol-zero", "invalid-json", "no-values", "missing-vertex", "nan-value"],
+    ids=["p-below-one", "tol-zero", "invalid-json", "no-values", "missing-vertex", "nan-value", "tol-inf"],
 )
 def test_validation_exits(flags, text, files, capsys):
     tmp, p = files

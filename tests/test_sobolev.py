@@ -423,7 +423,15 @@ def test_capacity_empty_set(path3, subpaths3):
 
 
 @pytest.mark.parametrize(
-    "p, tol", [(2.0, 0.0), (2.0, -1.0), (2.0, float("nan")), (float("inf"), 1e-6), (float("nan"), 1e-6)]
+    "p, tol",
+    [
+        (2.0, 0.0),
+        (2.0, -1.0),
+        (2.0, float("nan")),
+        (float("inf"), 1e-6),
+        (float("nan"), 1e-6),
+        (2.0, float("inf")),
+    ],
 )
 def test_settings_checked_before_shortcuts(path3, subpaths3, p, tol):
     flat = {v: 1.0 for v in path3.vertices}
@@ -473,8 +481,23 @@ def test_capacity_p1(path3, subpaths3):
 def test_equivalence_report_constant(path3, monkeypatch):
     flat = {v: 1.0 for v in path3.vertices}
     rep = equivalence_report(path3, flat, 2.0)
-    assert rep["constant"]
-    assert rep["n_norm"] == 0.0 and rep["w_max_violation"] == 0.0
+    assert rep == {
+        "p": 2.0,
+        "constant": True,
+        "rho_N": {v: 0.0 for v in path3.vertices},
+        "n_value": 0.0,
+        "n_norm": 0.0,
+        "n_gap": 0.0,
+        "h_steps": [],
+        "h_exact": True,
+        "h_slope_bounded": True,
+        "h_terminal_slope_err": 0.0,
+        "w_max_violation": 0.0,
+        "subfamilies": [],
+        "family_size": 0,
+    }
+    # one layout for every report
+    assert rep.keys() == equivalence_report(path3, RAMP, 2.0, max_hops=2).keys()
 
     # the settings are checked before any work, whatever f is
     def unreachable(*args):
@@ -488,6 +511,18 @@ def test_equivalence_report_constant(path3, monkeypatch):
             equivalence_report(path3, f, 2.0, tol=-1.0)
         with pytest.raises(SpaceError, match="max_hops must be at least 1"):
             equivalence_report(path3, f, 2.0, max_hops=0)
+
+
+def test_equivalence_report_without_dual_mass():
+    # f is constant on each component: every increment along a curve is zero,
+    # so no curve carries dual mass and the plan is empty
+    s = MetricMeasureSpace(list("abcd"), [("a", "b", 1.0), ("c", "d", 1.0)], dict.fromkeys("abcd", 1.0))
+    rep = equivalence_report(s, {"a": 0, "b": 0, "c": 1, "d": 1}, 2.0)
+    assert not rep["constant"] and rep["n_value"] == 0.0
+    assert rep["h_exact"] and rep["w_max_violation"] == 0.0
+    assert rep["subfamilies"] == [
+        {"label": "gradient", "value": 0.0, "gap": 0.0, "converged": True, "duality_product": None}
+    ]
 
 
 def test_equivalence_report_benchmark(path3):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import mixed_curves, oracle_min_power, random_connected_space
-from modcalc import MetricMeasureSpace, _solver, capacity, connecting_family, grid_space, n_gradient
+from modcalc import (
+    MetricMeasureSpace,
+    _solver,
+    capacity,
+    connecting_family,
+    grid_space,
+    n_gradient,
+    path_space,
+)
 from modcalc._solver import solve_capacity, solve_nonneg
 from modcalc.curve import _hop_table
 
@@ -27,14 +35,23 @@ def test_argument_validation():
         solve_nonneg(A, np.array([1.0]), m, 0.9)
     with pytest.raises(ValueError):
         solve_nonneg(A, np.array([1.0]), m, 2.0, max_iter=0)
-    # non-finite p and non-positive or NaN tol are rejected by both entry
-    # points instead of returning a value or spending every iteration
+    # non-finite p and non-positive or non-finite tol are rejected by both
+    # entry points instead of returning a value or spending every iteration
     box = np.zeros(2), np.full(2, math.inf)
-    for p, tol in ((math.inf, 1e-6), (math.nan, 1e-6), (2.0, 0.0), (2.0, -1.0), (1.0, math.nan)):
+    cases = ((math.inf, 1e-6), (math.nan, 1e-6), (2.0, 0.0), (2.0, -1.0), (1.0, math.nan), (2.0, math.inf))
+    for p, tol in cases:
         with pytest.raises(ValueError):
             solve_nonneg(A, np.array([1.0]), m, p, tol, max_iter=50)
         with pytest.raises(ValueError):
             solve_capacity(A, np.array([0]), np.array([1]), m, p, *box, tol, max_iter=50)
+
+
+def test_overflowing_scale_is_a_value_error():
+    # a finite p so large that rescaling the solution overflows
+    s = path_space(3)
+    fam = connecting_family(s, ["0"], ["2"], 2)
+    with pytest.raises(ValueError, match="p = 1e"):
+        n_gradient(s, {"0": 0, "1": 1, "2": 2}, fam, 1e308)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
