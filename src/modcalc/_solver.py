@@ -262,10 +262,12 @@ def _solve(
 ) -> SolveResult:
     """Shared front end over ``u = z / col`` on the padded rows of ``G``."""
     k, n = len(idx), len(col)
+    # a lower corner meeting every row is optimal (the objective grows on z >= lo)
+    trivial = (np.einsum("ij,ij->i", val, lo[idx]) >= rhs).all()
     lo, hi = lo / col, hi / col
-    if k == 0:
+    if trivial:
         value = float((lo**p).sum())
-        return SolveResult(value, lo * col, np.zeros(0), 0.0, value, 0, True)
+        return SolveResult(value, lo * col, np.zeros(k), 0.0, value, 0, True)
     val = val * col[idx]
     row = np.abs(val).max(axis=1, initial=0.0)
     val /= row[:, None]

@@ -12,13 +12,12 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Mapping
 
 from . import __version__
-from .curve import CurveError
+from ._solver import _check_settings
 from .families import CurveFamily, connecting_family, family_from_json
 from .lipschitz import path_relax
 from .modulus import ModulusError, modulus
 from .plans import (
     Plan,
-    PlanError,
     barycenter,
     is_test_plan,
     plan_derivation,
@@ -49,10 +48,10 @@ class RunConfig:
     M: float | None = None
 
     def validate(self) -> None:
-        if not (1.0 <= self.p < math.inf):
-            raise SpaceError(f"p must lie in [1, inf), got {self.p}")
-        if not 0 < self.tol < math.inf:
-            raise SpaceError(f"tol must be positive and finite, got {self.tol}")
+        try:
+            _check_settings(self.p, self.tol, None)
+        except ValueError as exc:
+            raise SpaceError(str(exc)) from None
 
 
 def _load_json(path: str) -> Any:
@@ -211,7 +210,7 @@ def _cmd_equivalence(
             for key in ("f_err", "slope_err"):
                 rows.append({"metric": f"h_step_{step['step']}_{key}", "value": step[key]})
         _emit_csv(csv, rows)
-    return report, True
+    return report, all(s["converged"] for s in report["subfamilies"])
 
 
 def _cmd_selftest(config: RunConfig) -> _Out:
@@ -312,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         result, converged = handler(config, **loaded, **given)
         _emit(config, output, result)
         return EXIT_OK if converged else EXIT_NO_CONVERGENCE
-    except (SpaceError, CurveError, PlanError, ModulusError, ValueError, OSError) as exc:
+    except (ModulusError, ValueError, OSError) as exc:
         # an OSError here is an artifact or CSV that could not be written
         return _error(exc, EXIT_VALIDATION)
 

@@ -147,13 +147,10 @@ def optimal_plan(result: ModulusResult, family: CurveFamily | Iterable[DiscreteC
         raise ModulusError("optimal_plan needs 0 < value < inf")
     if not result.dual_weights:
         raise ModulusError("no dual weights available")
-    total = sum(result.dual_weights.values())
-    if total <= 0:
+    plan = Plan(tuple((c, w) for c, w in result.dual_weights.items() if w > 0.0))
+    if plan.mass <= 0:
         raise ModulusError("degenerate dual: total weight is zero")
-    support = [
-        (c, w / total) for c, w in result.dual_weights.items() if w > 0.0
-    ]
-    return Plan(tuple(support))
+    return plan.normalized()
 
 
 def is_exceptional(

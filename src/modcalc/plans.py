@@ -274,11 +274,10 @@ def restrict_plan(
     else:
         allowed = {c.vertices for c in keep}
         pick = lambda c: c.vertices in allowed  # noqa: E731
-    kept = tuple((c, w) for c, w in plan.support if pick(c))
-    mass = float(sum(w for _, w in kept))
-    if mass <= 0:
+    kept = Plan(tuple((c, w) for c, w in plan.support if pick(c)))
+    if kept.mass <= 0:
         raise PlanError("restriction has zero mass")
-    return Plan(tuple((c, w / mass) for c, w in kept)), mass
+    return kept.normalized(), kept.mass
 
 
 def plan_from_json(space: MetricMeasureSpace, obj: Mapping) -> Plan:

@@ -38,8 +38,8 @@ class GradientResult:
 
     ``rho`` is feasible for the family's constraints up to roundoff,
     ``value = sum rho^p m`` is a certified upper bound with relative gap
-    ``gap`` and ``p_norm = value ** (1/p)``.  ``dual_weights`` maps the
-    curves with a nonzero increment to their multipliers.
+    ``gap``, ``p_norm = value ** (1/p)`` (``lp_norm`` of ``rho`` where ``value``
+    is 0 or inf).  ``dual_weights`` maps nonzero-increment curves to multipliers.
     """
 
     rho: dict[str, float]
@@ -95,7 +95,7 @@ def n_gradient(
     return GradientResult(
         rho,
         res.value,
-        res.value ** (1.0 / p),
+        res.value ** (1.0 / p) if 0.0 < res.value < math.inf else lp_norm(space, rho, p),
         label,
         res.gap,
         "N",
@@ -180,8 +180,8 @@ def ug_calculus(
     sup_f, sup_g = np.abs(fv).max(), np.abs(gv).max()
     worst_leib = worst(fv * gv, sup_f * rg + sup_g * rf)
 
-    rho2 = rho_f_alt if rho_f_alt is not None else hop_slope_density(space, f, curves)
-    rho_min = np.minimum(rf, _on_vertices(space, rho2))
+    rho2 = table.slopes(fv) if rho_f_alt is None else _on_vertices(space, rho_f_alt)
+    rho_min = np.minimum(rf, rho2)
     j = _worst_curve(table.single_hops(), fv, rho_min, tol)
     worst_min = None if j is None else curves[table.cid[j]]
 
@@ -301,16 +301,13 @@ def capacity(
     and ``f = 1`` on ``E`` in truncated mode) with ``rho`` dominating the
     increments of ``f`` along the family.
 
-    Empty ``E`` has capacity 0.  Pointwise maxima of witnesses certify
-    monotonicity and finite subadditivity at solver tolerance.
+    ``E`` holding both ends or neither end of every curve (as when empty)
+    has capacity ``m(E)``, found in 0 iterations.  Pointwise maxima of
+    witnesses certify monotonicity and finite subadditivity at solver tolerance.
     """
     _check_settings(p, tol, max_iter)
     target = space.check_subset(E)
     n = len(space)
-    if not target:
-        zeros = {v: 0.0 for v in space.vertices}
-        return CapacityResult(0.0, zeros, dict(zeros), 0.0, truncated, 0, True)
-
     table = _hop_table(space, [c for c in family if not c.is_constant])
     lo = np.array([1.0 if v in target else 0.0 for v in space.vertices])
     hi = (
@@ -375,9 +372,7 @@ def equivalence_report(
     grad = n_gradient(space, f0, fam, p, tol)
     steps, subfamilies, violation = [], [], 0.0
     if not constant:
-        steps = h_gradient_sequence(
-            space, f0, p, fam, n_steps=3, tol=tol, delta=delta, cap=fmax, gradient=grad
-        )[1]
+        steps = h_gradient_sequence(space, f0, p, fam, delta=delta, gradient=grad)[1]
         # the gradient's optimal plan, every curve oriented so that f0
         # increases along it; empty when no curve carries dual mass
         try:

@@ -215,15 +215,21 @@ def _dijkstra(arcs: list[list[tuple[int, float]]], init: Mapping[int, float]) ->
 
 
 def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:
-    """Measure-weighted p-norm of a vertex function."""
+    """Measure-weighted p-norm of a vertex function; where the powers leave
+    the float range, ``s`` times the norm of ``values / s``, ``s = max |values|``."""
     if not p >= 1:
         raise SpaceError(f"p must be at least 1, got {p}")
+    a = [abs(float(values[v])) for v in space.vertices]
+    top = max(a)
     if math.isinf(p):
-        return max(abs(float(values[v])) for v in space.vertices)
-    return float(
-        sum(abs(float(values[v])) ** p * space.measure[v] for v in space.vertices)
-        ** (1.0 / p)
-    )
+        return top
+    m = [space.measure[v] for v in space.vertices]
+    norm = lambda s: s * sum((x / s) ** p * w for x, w in zip(a, m)) ** (1.0 / p)  # noqa: E731
+    try:
+        direct = norm(1.0)
+    except OverflowError:
+        direct = math.inf
+    return direct if 0 < direct < math.inf or not 0 < top < math.inf else norm(top)
 
 
 def build_space(spec: Mapping) -> MetricMeasureSpace:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modcalc import MetricMeasureSpace, cli, grid_space, make_curve, path_space
+from modcalc import MetricMeasureSpace, cli, grid_space, make_curve, path_space, sobolev
 from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
@@ -414,6 +414,7 @@ def test_validation_exits(flags, text, files, capsys):
 
 
 MALFORMED = {
+    "plan-not-object": ("plan", "[]"),
     "plan-no-curve": ("plan", '{"support": [{"w": 1.0}]}'),
     "plan-no-w": ("plan", '{"support": [{"curve": {"vertices": ["0", "1"]}}]}'),
     "plan-item-not-object": ("plan", '{"support": [5]}'),
@@ -426,6 +427,9 @@ MALFORMED = {
     "family-E-not-list": ("family", '{"type": "connecting", "E": "0", "F": ["2"]}'),
     "family-F-not-list": ("family", '{"type": "connecting", "E": ["0"], "F": 2}'),
     "family-curves-not-list": ("family", '{"type": "explicit", "curves": 5}'),
+    "family-not-object": ("family", "[]"),
+    "family-unknown-type": ("family", '{"type": "spiral"}'),
+    "family-curve-no-vertices": ("family", '{"type": "explicit", "curves": [{"times": [0, 1]}]}'),
     "E-not-list": ("E", '{"0": 1}'),
     "C-not-list": ("C", '"0"'),
 }
@@ -447,7 +451,7 @@ def test_malformed_input_exits_2(name, files, capsys):
     assert json.loads(err)["error"]["type"] in ("PlanError", "CurveError", "SpaceError")
 
 
-@pytest.mark.parametrize("command", ["modulus", "gradient", "capacity"])
+@pytest.mark.parametrize("command", ["modulus", "gradient", "capacity", "equivalence"])
 def test_unconverged_solve_writes_the_artifact_and_exits_3(command, tmp_path, capsys, monkeypatch):
     grid = grid_space(4, 4)
     paths = {}
@@ -459,15 +463,19 @@ def test_unconverged_solve_writes_the_artifact_and_exits_3(command, tmp_path, ca
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(obj))
-    solve = {"modulus": "modulus", "gradient": "n_gradient", "capacity": "capacity"}[command]
-    full = getattr(cli, solve)
-    monkeypatch.setattr(cli, solve, lambda *a: full(*a, max_iter=1))
+    solve = {"modulus": "modulus", "gradient": "n_gradient", "capacity": "capacity"}
+    # the harness's one gradient solve is the one that stops early
+    module, name = (sobolev, "n_gradient") if command == "equivalence" else (cli, solve[command])
+    full = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: full(*a, max_iter=1))
     out = tmp_path / "out.json"
     argv = [command] + [x for k in REQUIRED[command] for x in (f"--{k}", str(paths[k]))]
     # p = 1 takes the LP path, which one iteration leaves open on this grid
     code, stdout, err = run(argv + ["--p", "1", "--output", str(out)], capsys)
     assert code == 3 and stdout == "" and err == ""
     result = json.loads(out.read_text())["result"]
+    if command == "equivalence":
+        result = result["subfamilies"][0]
     assert result["converged"] is False and result["gap"] > 1e-6
 
 

@@ -86,6 +86,16 @@ def test_n_gradient_p1_lp(path3):
     assert res.value == pytest.approx(2.0, rel=1e-4)
 
 
+def test_n_gradient_norm_where_the_value_underflows(path3):
+    # rho is about 0.001, so sum rho^1000 m underflows to 0 while the norm
+    # does not
+    fam = connecting_family(path3, ["0"], ["2"], 2)
+    res = n_gradient(path3, {"0": 0.0, "1": 0.001, "2": 0.002}, fam, 1000.0)
+    assert res.value == 0.0
+    assert res.p_norm == lp_norm(path3, res.rho, 1000.0)
+    assert res.p_norm == pytest.approx(0.001, rel=1e-2)
+
+
 def test_n_gradient_against_scipy():
     rng = random.Random(211)
     for _ in range(6):
@@ -397,6 +407,7 @@ def test_every_hop_table_checks_its_hops():
         lambda: modulus(s, [across], 2.0),
         lambda: n_gradient(s, f, [across], 2.0),
         lambda: capacity(s, ["a"], [across], 2.0),
+        lambda: capacity(s, [], [across], 2.0),
         lambda: barycenter(s, point_mass(across), 0),
         lambda: is_upper_gradient(s, f, {v: 0.0 for v in "abc"}, [across]),
     ]
@@ -414,10 +425,21 @@ def test_capacity_isolated_vertex():
     assert res.f["v"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_capacity_of_every_vertex_is_the_lower_corner(p):
+    # f = 1 everywhere has no increment along any curve, so the lower corner
+    # of the box is optimal and the solver certifies it without iterating
+    g = grid_space(3, 3)
+    fam = connecting_family(g, g.vertices, g.vertices, 3, simple_only=True)
+    res = capacity(g, g.vertices, fam, p)
+    assert (res.value, res.iterations, res.gap, res.converged) == (9.0, 0, 0.0, True)
+    assert set(res.f.values()) == {1.0} and set(res.rho.values()) == {0.0}
+
+
 def test_capacity_empty_set(path3, subpaths3):
     res = capacity(path3, [], subpaths3, 2.0)
     assert res.value == 0.0
-    # p is checked before the empty-set shortcut
+    # p is checked for the empty set too
     with pytest.raises(ValueError):
         capacity(path3, [], subpaths3, 0.5)
 

@@ -134,6 +134,14 @@ def test_lp_norm_rejects_exponents_below_one():
             lp_norm(s, ones, bad)
 
 
+def test_lp_norm_outside_the_float_range_of_its_powers():
+    # 2^2000 overflows and 0.001^1000 underflows; the norms are ordinary
+    s = path_space(3)
+    assert lp_norm(s, {v: 2.0 for v in s.vertices}, 2000.0) == pytest.approx(2 * 3 ** (1 / 2000))
+    assert lp_norm(s, {v: 1e-3 for v in s.vertices}, 1000.0) == pytest.approx(1e-3 * 3 ** (1 / 1000))
+    assert lp_norm(s, {v: 0.0 for v in s.vertices}, 1000.0) == 0.0
+
+
 def test_disconnected_distance_inf_and_diameter():
     s = MetricMeasureSpace(["a", "b", "c"], [("a", "b", 1.0)], {"a": 1, "b": 1, "c": 1})
     assert math.isinf(s.distance("a", "c"))
