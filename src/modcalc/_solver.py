@@ -58,14 +58,14 @@ __all__ = ["SolveResult", "solve_nonneg", "solve_capacity"]
 _TINY = 1e-300
 _EPS = float(np.finfo(float).eps)
 # Widest padded row, as a share of the columns, that is still multiplied
-# entry by entry; wider rows go through a dense copy and BLAS.  G z + G^T y
-# on two Xeon cores (2 BLAS threads), padded with every dual nonzero / with
-# 10 % of them against dense: 0.39 / 0.20 / 2.2 ms at fill 0.01 (18304 x
-# 400), 93 / 51 / 226 us at 0.04 (3984 x 100), 150 / 85 / 179 us at 0.062
-# (8000 x 64), 180 / 102 / 212 us at 0.078 (8000 x 64) and 0.41 / 0.19 /
-# 0.13 ms at 0.36 (8172 x 36).  The crossover now lies above 0.078, but
-# moving the threshold would move instances between the two paths, whose
-# sums differ in their last bits.
+# entry by entry; wider rows go through a dense copy and BLAS.  Whole solves
+# above it are no faster padded: dense against padded on two Xeon cores (2
+# BLAS threads), medians of 10 alternating pairs, the 8172 x 36 modulus at
+# lam 1 took 0.247 / 0.238 s, capacity at p 2 on the 4x4 simple paths h <= 3
+# 9.6 / 13.9 ms (dense faster in 10 of 10), on the 3x3 walks h <= 6 77-79 /
+# 93-102 ms; padded rows everywhere add 0.15 s to a 1.5 s capacity-grid
+# benchmark pass.  Moving the threshold would also move instances between
+# the two paths, whose sums differ in their last bits.
 _SPARSE_FILL = 0.06
 
 

@@ -68,10 +68,7 @@ class DiscreteCurve:
         new = tuple(float(t) for t in times)
         if len(new) != len(self.vertices):
             raise CurveError("retiming must keep the number of breakpoints")
-        if not all(map(math.isfinite, new)):
-            raise CurveError("breakpoint times must be finite")
-        if any(b <= a for a, b in zip(new, new[1:])):
-            raise CurveError("breakpoint times must be strictly increasing")
+        _check_times([new])
         return DiscreteCurve(new, self.vertices)
 
 
@@ -115,11 +112,13 @@ class _HopTable:
     start: np.ndarray
     end: np.ndarray
 
-    def _entries(self, lam: int) -> tuple[np.ndarray, np.ndarray]:
-        """Admissibility entries as flat keys ``curve * n + vertex`` and
-        coefficients: half of each hop length at u, then at v, then for
-        ``lam = 1`` one unit at each curve's start and end, in the order a
-        curve-by-curve loop adds them."""
+    def rows(self, lam: int) -> tuple[np.ndarray, np.ndarray]:
+        """Admissibility rows, one per curve, as padded rows ``(idx, val)``:
+        two k x w arrays of column indices and coefficients, w the widest
+        row, padded with zero coefficients.  A row holds half of each hop
+        length at u, then at v, then for ``lam = 1`` one unit at the curve's
+        start and end, repeated entries summed in the order a curve-by-curve
+        loop adds them."""
         k, n = len(self.start), self.n
         keys = np.column_stack((self.cid * n + self.u, self.cid * n + self.v)).ravel()
         coef = np.repeat(0.5 * self.d, 2)
@@ -127,28 +126,22 @@ class _HopTable:
             at = np.arange(k) * n
             ends = np.column_stack((at + self.start, at + self.end)).ravel()
             keys, coef = np.concatenate((keys, ends)), np.concatenate((coef, np.ones(2 * k)))
-        return keys, coef
-
-    def matrix(self, lam: int) -> np.ndarray:
-        """Admissibility rows, one per curve, as a dense k x n array."""
-        k, n = len(self.start), self.n
-        return np.bincount(*self._entries(lam), minlength=k * n).reshape(k, n)
-
-    def rows(self, lam: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzeros of ``matrix(lam)`` as padded rows ``(idx, val)``: two
-        k x w arrays of column indices and coefficients, w the widest row,
-        padded with zero coefficients.  Repeated entries are summed in the
-        same order, so every coefficient equals the dense one bit for bit."""
-        keys, coef = self._entries(lam)
         uniq, inv = np.unique(keys, return_inverse=True)
-        row, col = np.divmod(uniq, self.n)
-        count = np.bincount(row, minlength=len(self.start))
+        row, col = np.divmod(uniq, n)
+        count = np.bincount(row, minlength=k)
         slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-        idx = np.zeros((len(count), int(count.max(initial=0))), np.intp)
+        idx = np.zeros((k, int(count.max(initial=0))), np.intp)
         val = np.zeros(idx.shape)
         idx[row, slot] = col
         val[row, slot] = np.bincount(inv, coef, len(uniq))
         return idx, val
+
+    def matrix(self, lam: int) -> np.ndarray:
+        """``rows(lam)`` as a dense k x n array; the padding adds +0.0 to a
+        nonnegative coefficient, which leaves it bit for bit."""
+        idx, val = self.rows(lam)
+        keys = (np.arange(len(idx))[:, None] * self.n + idx).ravel()
+        return np.bincount(keys, val.ravel(), len(idx) * self.n).reshape(-1, self.n)
 
     def constant_speed(self, check: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Constant-speed times on [0, 1] and vertex indices of every curve as
@@ -190,10 +183,11 @@ class _HopTable:
         return self.hop_max(np.abs(f[self.v] - f[self.u]) / self.d)
 
     def path_integrals(self, rho: np.ndarray) -> np.ndarray:
-        """``path_integral`` of the vertex vector ``rho`` along every curve."""
-        ru, rv = rho[self.u], rho[self.v]
-        if (ru < 0).any() or (rv < 0).any():
+        """``path_integral`` of the vertex vector ``rho`` along every curve;
+        ``rho`` must be nonnegative (``+inf`` allowed) at every vertex."""
+        if not (rho >= 0).all():
             raise CurveError("density must be nonnegative")
+        ru, rv = rho[self.u], rho[self.v]
         return np.bincount(self.cid, 0.5 * (ru + rv) * self.d, minlength=len(self.start))
 
 
@@ -232,6 +226,17 @@ def _checked_hops(space: MetricMeasureSpace, table: _HopTable) -> _HopTable:
     return table
 
 
+def _check_times(times: Sequence[tuple[float, ...]]) -> None:
+    """Raise unless each tuple of breakpoint times is finite and strictly increasing."""
+    flat = np.array([x for t in times for x in t], float)
+    if not np.isfinite(flat).all():
+        raise CurveError("breakpoint times must be finite")
+    # compare consecutive times, except across the end of a curve
+    ends = np.cumsum(np.fromiter(map(len, times), np.intp, len(times)))[:-1] - 1
+    if not np.delete(flat[1:] > flat[:-1], ends).all():
+        raise CurveError("breakpoint times must be strictly increasing")
+
+
 def _curves(
     space: MetricMeasureSpace,
     seqs: Sequence[tuple[str, ...]],
@@ -244,14 +249,7 @@ def _curves(
     if any(not s or (t is not None and len(t) != len(s)) for s, t in zip(seqs, times)):
         raise CurveError("times and vertices must align and be nonempty")
     table = _table(space, seqs)
-    given = [t for t in times if t is not None]
-    flat = np.array([x for t in given for x in t], float)
-    if not np.isfinite(flat).all():
-        raise CurveError("breakpoint times must be finite")
-    # compare consecutive times, except across the end of a curve
-    ends = np.cumsum(np.fromiter(map(len, given), np.intp, len(given)))[:-1] - 1
-    if not np.delete(flat[1:] > flat[:-1], ends).all():
-        raise CurveError("breakpoint times must be strictly increasing")
+    _check_times([t for t in times if t is not None])
     _checked_hops(space, table)
     cs = table.constant_speed(np.fromiter((t is None for t in times), bool, len(times)))[0]
     # row by row, and with the ends of every curve sharing the objects 0.0
@@ -271,6 +269,18 @@ def _edge_table(space: MetricMeasureSpace) -> _HopTable:
 
 def _on_vertices(space: MetricMeasureSpace, values: Mapping[str, float]) -> np.ndarray:
     return np.array([float(values[x]) for x in space.vertices])
+
+
+def _finite_values(
+    space: MetricMeasureSpace, f: Mapping[str, float], name: str = "f"
+) -> np.ndarray:
+    """``f`` on the vertices; a NaN would silently drop the constraints it
+    enters (``NaN > 0`` is false), so a non-finite value is an error."""
+    fv = _on_vertices(space, f)
+    bad = np.flatnonzero(~np.isfinite(fv))
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {fv[bad[0]]} at {space.vertices[bad[0]]!r}")
+    return fv
 
 
 def _hop_lengths(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:
@@ -306,10 +316,8 @@ def path_integral(
     total = 0.0
     for u, v in zip(curve.vertices, curve.vertices[1:]):
         ru, rv = float(rho[u]), float(rho[v])
-        if ru < 0 or rv < 0:
+        if not (ru >= 0 and rv >= 0):
             raise CurveError("density must be nonnegative")
-        if math.isinf(ru) or math.isinf(rv):
-            return math.inf
         total += 0.5 * (ru + rv) * space.distance(u, v)
     return total
 

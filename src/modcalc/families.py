@@ -54,9 +54,6 @@ class CurveFamily:
         ordered = tuple(seen[k] for k in sorted(seen))
         return CurveFamily(ordered, self.label)
 
-    def union(self, other: "CurveFamily", label: str = "") -> "CurveFamily":
-        return CurveFamily(self.curves + other.curves, label or self.label)
-
 
 def _walks(
     space: MetricMeasureSpace,
@@ -70,7 +67,10 @@ def _walks(
     and neighbors are visited sorted by id, so every walk comes once and after
     its prefixes.  A walk is kept when it ends in ``ends`` (meets them, when
     ``through``): until then it does not start at or step to a vertex
-    farther (in hops) from ``ends`` than the hops it has left."""
+    farther (in hops) from ``ends`` than the hops it has left, so an empty
+    ``ends`` lists nothing."""
+    if max_hops < 1:
+        raise SpaceError("max_hops must be at least 1")
     out: list[tuple[str, ...]] = []
     idx = space.index
     unit = [[(idx[v], 1) for v, _ in space.neighbors(u)] for u in space.vertices]
@@ -116,8 +116,6 @@ def connecting_family(
     dst = space.check_subset(F)
     if not src or not dst:
         raise SpaceError("connecting_family needs nonempty endpoint sets")
-    if max_hops < 1:
-        raise SpaceError("max_hops must be at least 1")
     seqs = _walks(space, src, max_hops, simple_only, dst)
     label = f"connect({len(src)}->{len(dst)},h<={max_hops})"
     return CurveFamily(tuple(_curves(space, seqs)), label=label)
@@ -128,11 +126,7 @@ def family_through(
 ) -> CurveFamily:
     """All nonconstant simple paths with at most ``max_hops`` hops that
     intersect ``E``."""
-    if max_hops < 1:
-        raise SpaceError("max_hops must be at least 1")
     target = space.check_subset(E)
-    if not target:
-        return CurveFamily((), label="through(empty)")
     seqs = _walks(space, space.vertices, max_hops, True, target, True)
     return CurveFamily(tuple(_curves(space, seqs)), label=f"through({len(target)},h<={max_hops})")
 
@@ -146,11 +140,7 @@ def endpoints_in(
     This is the one constructor that includes constant curves, so the
     infinite-modulus branch of the admissibility convention is exercised.
     """
-    if max_hops < 1:
-        raise SpaceError("max_hops must be at least 1")
     anchor = space.check_subset(E)
-    if not anchor:
-        return CurveFamily((), label="endpoints(empty)")
     seqs = _walks(space, anchor, max_hops, False, anchor)
     curves = _curves(space, [(v,) for v in sorted(anchor)] + seqs)
     return CurveFamily(tuple(curves), label=f"endpoints({len(anchor)},h<={max_hops})")

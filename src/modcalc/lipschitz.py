@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .curve import DiscreteCurve, _HopTable, _edge_table, _hop_table, _on_vertices
+from .curve import DiscreteCurve, _HopTable, _edge_table, _finite_values, _hop_table, _on_vertices
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
 
 if TYPE_CHECKING:
@@ -97,17 +97,18 @@ def is_upper_gradient(
     """Check ``|f(end) - f(start)| <= path integral of rho`` on every curve.
 
     Returns the truth value and the worst violating curve (``None`` when the
-    check passes).
+    check passes).  ``f`` must be finite and ``rho`` nonnegative (``+inf``
+    allowed).
     """
     curves = list(family)
     table = _hop_table(space, curves)
-    i = _worst_curve(table, _on_vertices(space, f), _on_vertices(space, rho), tol)
+    i = _worst_curve(table, _finite_values(space, f), _on_vertices(space, rho), tol)
     return i is None, None if i is None else curves[i]
 
 
 def _worst_curve(table: _HopTable, f: np.ndarray, rho: np.ndarray, tol: float) -> int | None:
     """Index of the first curve whose increment of ``f`` most exceeds the path
-    integral of ``rho``, if that is by more than ``tol`` (NaN never counts)."""
+    integral of ``rho``, if that is by more than ``tol``."""
     violation = np.abs(f[table.end] - f[table.start]) - table.path_integrals(rho)
     over = np.flatnonzero(violation > tol)
     return int(over[np.argmax(violation[over])]) if over.size else None

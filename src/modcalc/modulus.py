@@ -75,8 +75,8 @@ def admissible_check(
 
     ``lam * inf`` follows the convention that it vanishes when ``lam = 0``:
     endpoint values are simply not evaluated in that case, so a constant
-    curve makes the constraint unsatisfiable by any finite density.  A curve
-    whose slack is NaN counts as neither violated nor smallest.
+    curve makes the constraint unsatisfiable by any finite density.  A NaN
+    or negative density raises ``CurveError``.
     """
     if lam not in (0, 1):
         raise ModulusError(f"lambda must be 0 or 1, got {lam}")
@@ -86,7 +86,7 @@ def admissible_check(
     if lam == 1:
         lhs = lhs + r[table.start] + r[table.end]
     slack = lhs - 1.0
-    return not (slack < 0).any(), float(np.fmin.reduce(slack, initial=math.inf))
+    return not (slack < 0).any(), float(slack.min(initial=math.inf))
 
 
 def modulus(
@@ -145,8 +145,6 @@ def optimal_plan(result: ModulusResult, family: CurveFamily | Iterable[DiscreteC
     """
     if not (0.0 < result.value < math.inf):
         raise ModulusError("optimal_plan needs 0 < value < inf")
-    if not result.dual_weights:
-        raise ModulusError("no dual weights available")
     plan = Plan(tuple((c, w) for c, w in result.dual_weights.items() if w > 0.0))
     if plan.mass <= 0:
         raise ModulusError("degenerate dual: total weight is zero")

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._solver import _check_settings, solve_capacity, solve_nonneg
-from .curve import DiscreteCurve, _curves, _edge_table, _hop_table, _on_vertices
+from .curve import DiscreteCurve, _curves, _edge_table, _finite_values, _hop_table, _on_vertices
 from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _relax_hops, _worst_curve, asymptotic_slope, path_relax
 from .modulus import ModulusError, _sum_duals, optimal_plan
@@ -106,16 +106,6 @@ def n_gradient(
     )
 
 
-def _finite_values(space: MetricMeasureSpace, f: Mapping[str, float]) -> np.ndarray:
-    """``f`` on the vertices; a NaN would silently drop the constraints it
-    enters (``NaN > 0`` is false), so a non-finite value is an error."""
-    fv = _on_vertices(space, f)
-    bad = np.flatnonzero(~np.isfinite(fv))
-    if bad.size:
-        raise ValueError(f"f must be finite, got {fv[bad[0]]} at {space.vertices[bad[0]]!r}")
-    return fv
-
-
 def hop_slope_density(
     space: MetricMeasureSpace,
     f: Mapping[str, float],
@@ -152,11 +142,13 @@ def ug_calculus(
     of ``f``) and is checked hop by hop, the finite-scale form under which
     pointwise minima of gradients remain gradients.
 
-    Raises if ``rho_f`` or ``rho_g`` fails its own upper-gradient check.
+    Raises if ``rho_f`` or ``rho_g`` fails its own upper-gradient check,
+    if ``f`` or ``g`` is not finite, or if a density is NaN or negative.
     """
     curves = list(family)
     table = _hop_table(space, curves)
-    fv, gv, rf, rg = (_on_vertices(space, x) for x in (f, g, rho_f, rho_g))
+    fv, gv = _finite_values(space, f), _finite_values(space, g, "g")
+    rf, rg = _on_vertices(space, rho_f), _on_vertices(space, rho_g)
 
     def worst(h: np.ndarray, rho: np.ndarray) -> DiscreteCurve | None:
         i = _worst_curve(table, h, rho, tol)
@@ -175,10 +167,14 @@ def ug_calculus(
     )
     phi_at = dict(zip(values, phis))
 
+    def scaled(c: float, rho: np.ndarray) -> np.ndarray:
+        # a zero factor scales +inf to the zero density, not to NaN
+        return c * rho if c else np.zeros_like(rho)
+
     worst_sum = worst(fv + gv, rf + rg)
-    worst_chain = worst(np.array([phi_at[x] for x in fv.tolist()]), lip_phi * rf)
+    worst_chain = worst(np.array([phi_at[x] for x in fv.tolist()]), scaled(lip_phi, rf))
     sup_f, sup_g = np.abs(fv).max(), np.abs(gv).max()
-    worst_leib = worst(fv * gv, sup_f * rg + sup_g * rf)
+    worst_leib = worst(fv * gv, scaled(sup_f, rg) + scaled(sup_g, rf))
 
     rho2 = table.slopes(fv) if rho_f_alt is None else _on_vertices(space, rho_f_alt)
     rho_min = np.minimum(rf, rho2)
@@ -333,8 +329,7 @@ def _harness_family(
     walks = connecting_family(space, space.vertices, space.vertices, max_hops)
     vs = space.vertices
     pairs = _curves(space, [(vs[u], vs[v]) for u, v in zip(*_relax_hops(space, delta))])
-    fam = walks.union(explicit_family(pairs), label=f"harness(h<={max_hops})")
-    return fam.normalized()
+    return CurveFamily(walks.curves + tuple(pairs), f"harness(h<={max_hops})").normalized()
 
 
 def equivalence_report(

@@ -112,6 +112,10 @@ def test_path_integral_examples(path3):
     assert path_integral(path3, const, {"0": 0.0, "1": math.inf, "2": 0.0}) == 0.0
     with pytest.raises(CurveError):
         path_integral(path3, walk, {"0": -1.0, "1": 0.0, "2": 0.0})
+    # every hop is checked, also after an infinite value
+    for bad in (math.nan, -1.0):
+        with pytest.raises(CurveError, match="nonnegative"):
+            path_integral(path3, walk, {"0": math.inf, "1": 0.0, "2": bad})
 
 
 def test_path_integral_reparam_invariance():
@@ -237,6 +241,8 @@ def test_restrict(path3):
         restrict(path3, c, 0.25, 1.0)
     with pytest.raises(CurveError):
         restrict(path3, c, 1.0, 0.5)
+    with pytest.raises(CurveError, match="constant curve"):
+        restrict(path3, make_curve(path3, ["1"]), 0.0, 0.0)
 
     walk = make_curve(path3, ["0", "1", "2", "1"], [0.0, 0.25, 0.5, 1.0])
     mid = restrict(path3, walk, 0.25, 0.5)
@@ -270,6 +276,11 @@ def test_with_times_rejects_non_finite_times(path3):
     assert c.with_times([0.0, 0.25, 1.0]).times == (0.0, 0.25, 1.0)
     for bad in ([0.0, math.nan, 1.0], [0.0, 0.5, math.inf], [-math.inf, 0.5, 1.0]):
         with pytest.raises(CurveError, match="breakpoint times must be finite"):
+            c.with_times(bad)
+    with pytest.raises(CurveError, match="number of breakpoints"):
+        c.with_times([0.0, 1.0])
+    for bad in ([0.0, 0.5, 0.5], [0.0, 0.75, 0.5]):
+        with pytest.raises(CurveError, match="strictly increasing"):
             c.with_times(bad)
 
 

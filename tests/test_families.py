@@ -47,7 +47,10 @@ def test_connecting_examples():
 
 def test_family_through_examples():
     p = path_space(3)
-    assert len(family_through(p, [], 3)) == 0
+    empty = family_through(p, [], 3)
+    assert len(empty) == 0 and empty.label == "through(0,h<=3)"
+    with pytest.raises(SpaceError, match="max_hops"):
+        family_through(p, ["1"], 0)
     fam = family_through(p, ["1"], 1)
     assert sorted(c.vertices for c in fam) == [
         ("0", "1"),
@@ -65,7 +68,10 @@ def test_endpoints_in_examples():
     seqs = {c.vertices for c in fam}
     assert ("0", "1", "2") in seqs and ("2", "1", "0") in seqs
     assert ("0",) in seqs and ("2",) in seqs
-    assert len(endpoints_in(p, [], 2)) == 0
+    empty = endpoints_in(p, [], 2)
+    assert len(empty) == 0 and empty.label == "endpoints(0,h<=2)"
+    with pytest.raises(SpaceError, match="max_hops"):
+        endpoints_in(p, ["1"], 0)
     single = endpoints_in(p, ["1"], 1)
     assert ("1",) in {c.vertices for c in single}
 

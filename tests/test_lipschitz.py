@@ -78,6 +78,8 @@ def test_mcshane_examples(path3):
         mcshane_extend(path3, {"0": 0.0, "2": 3.0}, 1.0)
     with pytest.raises(ValueError):
         mcshane_extend(path3, {"0": 0.0}, math.nan)
+    with pytest.raises(SpaceError, match="nonempty domain"):
+        mcshane_extend(path3, {}, 1.0)
 
 
 def test_slopes_and_extension_match_loops():
@@ -154,10 +156,17 @@ def test_is_upper_gradient_examples(path3):
     ok, _ = is_upper_gradient(path3, f, rho, sub)
     assert ok
 
+    # NaN used to pass: an all-NaN density, and f NaN at the far end
+    with pytest.raises(CurveError, match="nonnegative"):
+        is_upper_gradient(path3, f, {v: math.nan for v in path3.vertices}, fam)
+    with pytest.raises(ValueError, match="f must be finite"):
+        is_upper_gradient(path3, dict(f, **{"2": math.nan}), zero, fam)
+
 
 def test_is_upper_gradient_matches_path_integral_loop():
     # same verdict and same worst curve (the first of the largest
-    # violations) as a loop over path_integral; a NaN row is never worst
+    # violations) as a loop over path_integral; a NaN density, or a
+    # non-finite f, is rejected
     rng = random.Random(331)
     for _ in range(15):
         s = random_connected_space(rng, rng.randint(3, 8), extra_edges=2)
@@ -165,6 +174,13 @@ def test_is_upper_gradient_matches_path_integral_loop():
         f = random_function(rng, s)
         rho = {v: rng.uniform(0.0, 1.0) for v in s.vertices}
         rho[rng.choice(s.vertices)] = rng.choice((math.inf, math.nan))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="f must be finite"):
+                is_upper_gradient(s, dict(f, **{curves[0].start: bad}), rho, curves)
+        if any(math.isnan(x) for x in rho.values()):
+            with pytest.raises(CurveError):
+                is_upper_gradient(s, f, rho, curves)
+            continue
         worst, worst_violation = None, 1e-12
         for c in curves:
             violation = abs(f[c.end] - f[c.start]) - path_integral(s, c, rho)
@@ -198,6 +214,11 @@ def test_path_relax_examples(path3):
         path_relax(path3, f, ones, ["0"], 0.0, 1.0)
     with pytest.raises(ValueError):
         path_relax(path3, {"0": -1.0, "1": 0.0, "2": 0.0}, ones, ["0"], 1.0, 1.0)
+    with pytest.raises(ValueError, match="cap must be positive"):
+        path_relax(path3, f, ones, ["0"], 1.0, 0.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="density is negative at '1'"):
+            path_relax(path3, f, dict(ones, **{"1": bad}), ["0"], 1.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         path_relax(path3, {"0": math.nan, "1": 0.0, "2": 0.0}, ones, ["0"], 1.0, 1.0)
 

@@ -62,21 +62,34 @@ def test_admissible_check_examples(path3):
     ok_empty, slack_empty = admissible_check(path3, rho, explicit_family([]), 0)
     assert ok_empty and slack_empty == math.inf
 
+    with pytest.raises(ModulusError, match="lambda must be 0 or 1"):
+        admissible_check(path3, rho, fam, 2)
+    # a NaN density used to pass with slack inf
+    for lam in (0, 1):
+        with pytest.raises(CurveError, match="nonnegative"):
+            admissible_check(path3, {v: math.nan for v in path3.vertices}, fam, lam)
+
 
 def test_rows_and_slacks_match_per_curve_reference():
     # the hop table must reproduce the curve-by-curve rows bit for bit, and
     # the slacks of the path_integral loop, on walks that revisit vertices
-    # and on constant curves, with an infinite and a NaN density entry
+    # and on constant curves, with an infinite density entry; a NaN entry
+    # is rejected
     rng = random.Random(317)
     for _ in range(12):
         s = random_connected_space(rng, rng.randint(3, 8), extra_edges=2)
         curves = mixed_curves(rng, s, rng.randint(1, 8))
         rho = {v: rng.uniform(0.0, 1.5) for v in s.vertices}
         rho[rng.choice(s.vertices)] = rng.choice((math.inf, math.nan))
+        nan = any(math.isnan(x) for x in rho.values())
         for lam in (0, 1):
             A, got = admissibility_matrix(s, iter(curves), lam)
             want = np.array([reference_row(s, c, lam) for c in curves])
             assert got == curves and A.tobytes() == want.tobytes()
+            if nan:
+                with pytest.raises(CurveError):
+                    admissible_check(s, rho, curves, lam)
+                continue
 
             # at lam = 0 the constant curves alone set the slack to -1
             for fam in (curves, [c for c in curves if not c.is_constant]):
@@ -86,7 +99,7 @@ def test_rows_and_slacks_match_per_curve_reference():
                     if lam == 1:
                         lhs = lhs + rho[c.start] + rho[c.end]
                     slacks.append(lhs - 1.0)
-                smallest = min((x for x in slacks if not math.isnan(x)), default=math.inf)
+                smallest = min(slacks, default=math.inf)
                 ok = not any(x < 0 for x in slacks)
                 assert admissible_check(s, rho, fam, lam) == (ok, smallest)
 

@@ -56,6 +56,11 @@ def test_plan_validation(path3):
     with pytest.raises(PlanError):
         Plan(((make_curve(path3, ["0", "1"], [0.0, 2.0]), 1.0),))
     assert point_mass(c).is_probability
+    with pytest.raises(PlanError, match="empty plan"):
+        Plan(()).normalized()
+    for factor in (0.0, -1.0, math.nan):
+        with pytest.raises(PlanError, match="scaling factor"):
+            point_mass(c).scaled(factor)
 
 
 def test_barycenter_examples(path3):
@@ -66,11 +71,16 @@ def test_barycenter_examples(path3):
     assert dict(bar1.values) == {"0": 1.5, "1": 1.0, "2": 1.5}
     empty = Plan(())
     assert dict(barycenter(path3, empty, 0).values) == {v: 0.0 for v in path3.vertices}
+    for build in (barycenter, parametric_barycenter):
+        with pytest.raises(PlanError, match="lambda must be 0 or 1"):
+            build(path3, plan, 2)
 
 
 def test_compression_examples(path3):
     plan = point_mass(make_curve(path3, ["0", "1", "2"]))
     assert compression(path3, plan, 64) == pytest.approx(1.0)
+    with pytest.raises(PlanError, match="n_grid"):
+        compression(path3, plan, 0)
 
     s = two_component_space()
     parallel = Plan(
@@ -260,6 +270,8 @@ def test_restriction_stability():
         assert sub.is_probability
         n = 256
         assert compression(s, sub, n) <= compression(s, plan, n) / mass + 1e-12
+        with pytest.raises(PlanError, match="zero mass"):
+            restrict_plan(plan, lambda c: False)
 
 
 def reference_grid_masses(space, plan, n_grid):

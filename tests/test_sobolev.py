@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -243,6 +244,27 @@ def test_non_finite_f_is_rejected():
         equivalence_report(s, {"0": 0.0, "1": float("nan"), "2": 0.0, "3": 0.0}, 2.0)
 
 
+def test_ug_calculus_rejects_nan(path3, subpaths3):
+    # NaN inputs used to pass all four rules
+    nan = {v: math.nan for v in path3.vertices}
+    rho = hop_slope_density(path3, RAMP, subpaths3)
+    with pytest.raises(CurveError, match="nonnegative"):
+        ug_calculus(path3, RAMP, RAMP, nan, nan, abs, subpaths3)
+    for bad in (math.nan, math.inf):
+        f = dict(RAMP, **{"1": bad})
+        with pytest.raises(ValueError, match="f must be finite"):
+            ug_calculus(path3, f, RAMP, rho, rho, abs, subpaths3)
+        with pytest.raises(ValueError, match="g must be finite"):
+            ug_calculus(path3, RAMP, f, rho, rho, abs, subpaths3)
+    # a zero factor times a +inf density is the zero density: a constant
+    # phi, and f = 0 in the Leibniz rule, still pass
+    inf = dict(rho, **{"1": math.inf})
+    zero = {v: 0.0 for v in path3.vertices}
+    report = ug_calculus(path3, zero, zero, inf, inf, lambda t: 1.0, subpaths3)
+    assert all(entry["ok"] for entry in report.values())
+    assert report["chain"]["lip_phi"] == 0.0
+
+
 def test_lip_phi_from_sorted_neighbours_matches_all_pairs(path3, subpaths3):
     rng = random.Random(11)
     for _ in range(20):
@@ -316,6 +338,9 @@ def test_h_sequence_constant_positive(path3, subpaths3):
     grad, steps = h_gradient_sequence(path3, const, 2.0, subpaths3, n_steps=2)
     for s in steps:
         assert s.exact and s.f_err == 0.0 and s.slope_err == 0.0
+    for cap in (0.0, -1.0):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            h_gradient_sequence(path3, const, 2.0, subpaths3, cap=cap)
 
 
 def test_h_sequence_monotone_in_slack(path3):

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_distance, random_connected_space, random_disconnected_space
-from modcalc import MetricMeasureSpace, SpaceError, build_space, grid_space, lp_norm, path_space
+from modcalc import (
+    MetricMeasureSpace,
+    SpaceError,
+    build_space,
+    cycle_space,
+    grid_space,
+    lp_norm,
+    path_space,
+)
 from modcalc.space import space_to_json
 
 
@@ -36,6 +44,12 @@ def test_invalid_descriptions_rejected():
         MetricMeasureSpace(["a", "a"], [], {"a": 1.0})
     with pytest.raises(SpaceError):
         MetricMeasureSpace(["a"], [], {"a": 1.0, "zz": 2.0})
+    with pytest.raises(SpaceError, match="at least one vertex"):
+        MetricMeasureSpace([], [], {})
+    with pytest.raises(SpaceError, match="has no measure"):
+        MetricMeasureSpace(["a", "b"], [("a", "b", 1.0)], {"a": 1.0})
+    with pytest.raises(SpaceError, match="at least 3 vertices"):
+        cycle_space(2)
 
 
 def test_grid_corner_to_corner():
