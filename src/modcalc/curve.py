@@ -136,12 +136,35 @@ class _HopTable:
         val[row, slot] = np.bincount(inv, coef, len(uniq))
         return idx, val
 
+    def presolve(self) -> tuple[np.ndarray, "_HopTable"]:
+        """The curves whose ``rows(0)`` a gradient or capacity solve needs, as
+        a mask, and the table of those curves.  A curve's row is the sum of
+        its hops' rows and its increment at most the sum of theirs, so a
+        curve each of whose hops, in either orientation, is a one-hop curve
+        of the table is implied, and so is a constant curve.  Of the one-hop
+        curves on each unordered end pair only the first is kept: the others
+        have its row and increment bit for bit.  A table without one-hop
+        curves keeps every non-constant curve."""
+        k, n = len(self.start), self.n
+        key = np.minimum(self.u, self.v) * n + np.maximum(self.u, self.v)
+        one = np.bincount(self.cid, minlength=k)[self.cid] == 1
+        pairs, first = np.unique(key[one], return_index=True)
+        need = np.bincount(self.cid, ~np.isin(key, pairs), k) > 0
+        need[self.cid[one][first]] = True
+        hop = need[self.cid]
+        cid = (np.cumsum(need) - 1)[self.cid[hop]]
+        return need, _HopTable(
+            n, cid, self.u[hop], self.v[hop], self.d[hop], self.start[need], self.end[need]
+        )
+
     def matrix(self, lam: int) -> np.ndarray:
-        """``rows(lam)`` as a dense k x n array; the padding adds +0.0 to a
-        nonnegative coefficient, which leaves it bit for bit."""
+        """``rows(lam)`` as a dense k x n float array; the padding adds +0.0
+        to a nonnegative coefficient, which leaves it bit for bit."""
         idx, val = self.rows(lam)
         keys = (np.arange(len(idx))[:, None] * self.n + idx).ravel()
-        return np.bincount(keys, val.ravel(), len(idx) * self.n).reshape(-1, self.n)
+        # bincount of no keys at all returns integers
+        dense = np.bincount(keys, val.ravel(), len(idx) * self.n).astype(float, copy=False)
+        return dense.reshape(-1, self.n)
 
     def constant_speed(self, check: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Constant-speed times on [0, 1] and vertex indices of every curve as
@@ -185,8 +208,9 @@ class _HopTable:
     def path_integrals(self, rho: np.ndarray) -> np.ndarray:
         """``path_integral`` of the vertex vector ``rho`` along every curve;
         ``rho`` must be nonnegative (``+inf`` allowed) at every vertex."""
-        if not (rho >= 0).all():
-            raise CurveError("density must be nonnegative")
+        bad = np.flatnonzero(~(rho >= 0))
+        if bad.size:
+            raise CurveError(f"density must be nonnegative, got {rho[bad[0]]}")
         ru, rv = rho[self.u], rho[self.v]
         return np.bincount(self.cid, 0.5 * (ru + rv) * self.d, minlength=len(self.start))
 

@@ -28,7 +28,9 @@ def check_density(rho: Mapping[str, float], where: Iterable[str]) -> None:
     """Raise if ``rho`` takes a negative (or NaN) value on ``where``."""
     for v in where:
         x = float(rho[v])
-        if math.isnan(x) or x < 0:
+        if math.isnan(x):
+            raise ValueError(f"density is NaN at {v!r}")
+        if x < 0:
             raise ValueError(f"density is negative at {v!r}: {x}")
 
 

@@ -39,7 +39,9 @@ class GradientResult:
     ``rho`` is feasible for the family's constraints up to roundoff,
     ``value = sum rho^p m`` is a certified upper bound with relative gap
     ``gap``, ``p_norm = value ** (1/p)`` (``lp_norm`` of ``rho`` where ``value``
-    is 0 or inf).  ``dual_weights`` maps nonzero-increment curves to multipliers.
+    is 0 or inf).  ``dual_weights`` maps the curves solved on to multipliers:
+    the nonzero-increment curves that ``_HopTable.presolve`` keeps.  Padded
+    with zeros on the curves it drops, they stay an optimal dual plan.
     """
 
     rho: dict[str, float]
@@ -78,20 +80,22 @@ def n_gradient(
     ``|f(end) - f(start)| <= path integral of rho`` for every curve.
 
     Shares the modulus solver.  Constraints with zero increment are vacuous
-    for nonnegative densities and are dropped.  For ``p > 1`` the optimal
-    density is unique by strict convexity.  A non-finite ``f`` is rejected.
+    for nonnegative densities and are dropped, and so are those that the
+    family's one-hop curves imply (``_HopTable.presolve``).  For ``p > 1``
+    the optimal density is unique by strict convexity.  A non-finite ``f``
+    is rejected.
     """
     _check_settings(p, tol, max_iter)
     label = family.label if isinstance(family, CurveFamily) else ""
     curves = list(family)
-    table = _hop_table(space, curves)
+    need, table = _hop_table(space, curves).presolve()
     fv = _finite_values(space, f)
     rhs = np.abs(fv[table.end] - fv[table.start])
     keep = rhs > 0.0
     idx, val = table.rows(0)
     res = solve_nonneg((idx[keep], val[keep]), rhs[keep], space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
-    duals = _sum_duals([c for c, k in zip(curves, keep) if k], res.y)
+    duals = _sum_duals([curves[i] for i in np.flatnonzero(need)[keep]], res.y)
     return GradientResult(
         rho,
         res.value,
@@ -297,14 +301,16 @@ def capacity(
     and ``f = 1`` on ``E`` in truncated mode) with ``rho`` dominating the
     increments of ``f`` along the family.
 
-    ``E`` holding both ends or neither end of every curve (as when empty)
-    has capacity ``m(E)``, found in 0 iterations.  Pointwise maxima of
-    witnesses certify monotonicity and finite subadditivity at solver tolerance.
+    The solve runs on the curves that ``_HopTable.presolve`` keeps: the
+    family's one-hop curves imply the rest.  ``E`` holding both ends or
+    neither end of every curve (as when empty) has capacity ``m(E)``, found
+    in 0 iterations.  Pointwise maxima of witnesses certify monotonicity
+    and finite subadditivity at solver tolerance.
     """
     _check_settings(p, tol, max_iter)
     target = space.check_subset(E)
     n = len(space)
-    table = _hop_table(space, [c for c in family if not c.is_constant])
+    table = _hop_table(space, list(family)).presolve()[1]
     lo = np.array([1.0 if v in target else 0.0 for v in space.vertices])
     hi = (
         np.ones(n)

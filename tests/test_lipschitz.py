@@ -216,8 +216,8 @@ def test_path_relax_examples(path3):
         path_relax(path3, {"0": -1.0, "1": 0.0, "2": 0.0}, ones, ["0"], 1.0, 1.0)
     with pytest.raises(ValueError, match="cap must be positive"):
         path_relax(path3, f, ones, ["0"], 1.0, 0.0)
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="density is negative at '1'"):
+    for bad, msg in ((-1.0, "density is negative at '1'"), (math.nan, "density is NaN at '1'")):
+        with pytest.raises(ValueError, match=msg):
             path_relax(path3, f, dict(ones, **{"1": bad}), ["0"], 1.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         path_relax(path3, {"0": math.nan, "1": 0.0, "2": 0.0}, ones, ["0"], 1.0, 1.0)

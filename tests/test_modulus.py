@@ -70,6 +70,24 @@ def test_admissible_check_examples(path3):
             admissible_check(path3, {v: math.nan for v in path3.vertices}, fam, lam)
 
 
+def test_admissibility_matrix_is_float_without_coefficients(path3):
+    # np.bincount of no keys at all returns integers
+    for fam, shape in (
+        (explicit_family([make_curve(path3, ["1"])]), (1, 3)),
+        (explicit_family([]), (0, 3)),
+    ):
+        A, _ = admissibility_matrix(path3, fam, 0)
+        assert A.dtype == np.float64 and A.shape == shape and not A.any()
+
+
+def test_negative_density_message_names_the_value(path3):
+    fam = connecting_family(path3, ["0"], ["2"], 2)
+    for bad in (-0.5, math.nan):
+        rho = {"0": 1.0, "1": bad, "2": 1.0}
+        with pytest.raises(CurveError, match=f"nonnegative, got {bad}"):
+            admissible_check(path3, rho, fam, 0)
+
+
 def test_rows_and_slacks_match_per_curve_reference():
     # the hop table must reproduce the curve-by-curve rows bit for bit, and
     # the slacks of the path_integral loop, on walks that revisit vertices
