@@ -146,7 +146,7 @@ class _HopTable:
         have its row and increment bit for bit.  A table without one-hop
         curves keeps every non-constant curve."""
         k, n = len(self.start), self.n
-        key = np.minimum(self.u, self.v) * n + np.maximum(self.u, self.v)
+        key = _pair_keys(self.u, self.v, n)
         one = np.bincount(self.cid, minlength=k)[self.cid] == 1
         pairs, first = np.unique(key[one], return_index=True)
         need = np.bincount(self.cid, ~np.isin(key, pairs), k) > 0
@@ -227,8 +227,24 @@ def _table(space: MetricMeasureSpace, seqs: Sequence[tuple[str, ...]]) -> _HopTa
     first = last - sizes + 1
     u, v = np.delete(flat, last), np.delete(flat, first)
     cid = np.repeat(np.arange(len(seqs)), sizes - 1)
-    # read space._dist in place: distance_matrix() would copy it
-    return _HopTable(len(space), cid, u, v, space._dist[u, v], flat[first], flat[last])
+    return _HopTable(len(space), cid, u, v, _hop_distances(space, u, v), flat[first], flat[last])
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One key per unordered pair of vertex indices below ``n``."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _hop_distances(space: MetricMeasureSpace, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distance of each hop ``u[j] -> v[j]``: the stored edge distances when
+    every hop is a graph edge, else the all-pairs matrix, built on that read
+    (read in place: ``distance_matrix()`` would copy it)."""
+    key = _pair_keys(u, v, len(space))
+    edge = _pair_keys(space._eu, space._ev, len(space))
+    if not np.isin(key, edge).all():
+        return space._dist[u, v]
+    order = np.argsort(edge)
+    return space._edge_d[order[np.searchsorted(edge, key, sorter=order)]]
 
 
 def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
@@ -288,7 +304,7 @@ def _curves(
 def _edge_table(space: MetricMeasureSpace) -> _HopTable:
     """Every graph edge as a one-hop curve, at its metric distance."""
     u, v = space._eu, space._ev
-    return _HopTable(len(space), np.arange(len(u)), u, v, space._dist[u, v], u, v)
+    return _HopTable(len(space), np.arange(len(u)), u, v, space._edge_d, u, v)
 
 
 def _on_vertices(space: MetricMeasureSpace, values: Mapping[str, float]) -> np.ndarray:

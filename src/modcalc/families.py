@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -73,8 +74,8 @@ def _walks(
         raise SpaceError("max_hops must be at least 1")
     out: list[tuple[str, ...]] = []
     idx = space.index
-    unit = [[(idx[v], 1) for v, _ in space.neighbors(u)] for u in space.vertices]
-    to_ends = dict(zip(space.vertices, _dijkstra(unit, {idx[e]: 0 for e in ends}).tolist()))
+    hops = _dijkstra(space._arcs, {idx[e]: 0 for e in ends}, unit=True)
+    to_ends = {v: hops.get(i, math.inf) for i, v in enumerate(space.vertices)}
 
     def extend(seq: list[str], met: bool) -> None:
         # met is only ever set when through, and a walk ending in ends has met them

@@ -162,4 +162,4 @@ def path_relax(
     for a, b, c in zip(u.tolist(), v.tolist(), cost.tolist()):
         arcs[a].append((b, c))
     dist = _dijkstra(arcs, {space.index[c]: float(f[c]) for c in src})
-    return {x: min(cap, d) for x, d in zip(space.vertices, dist.tolist())}
+    return {x: min(cap, dist.get(i, math.inf)) for i, x in enumerate(space.vertices)}

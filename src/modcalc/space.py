@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -86,15 +87,37 @@ class MetricMeasureSpace:
         self._measure = meas
         self._index = index
         self._adj = {v: tuple(sorted(adj[v])) for v in ids}
+        # the (index, length) arcs out of each vertex index, sorted by id
+        self._arcs = [[(index[v], le) for v, le in self._adj[u]] for u in ids]
         self._eu = np.array([index[u] for u, _, _ in self._edges], dtype=np.intp)
         self._ev = np.array([index[v] for _, v, _ in self._edges], dtype=np.intp)
-        self._dist = self._all_pairs()
+        self._edge_d = self._edge_distances()
+        self._edge_d.flags.writeable = False  # hop tables share it
 
     # -- metric ---------------------------------------------------------
 
-    def _all_pairs(self) -> np.ndarray:
-        arcs = [[(self._index[v], le) for v, le in self._adj[u]] for u in self._vertices]
-        dist = np.array([_dijkstra(arcs, {i: 0.0}) for i in range(len(arcs))])
+    def _edge_distances(self) -> np.ndarray:
+        """Metric distance of every edge, in ``edges`` order, equal bit for
+        bit to the entry of ``_dist``: a vertex's longest incident edge
+        bounds the distance of each of its edges, so a search bounded by it
+        settles them to the values of the full search."""
+        reach = [
+            _dijkstra(self._arcs, {i: 0.0}, max((le for _, le in out), default=0.0))
+            for i, out in enumerate(self._arcs)
+        ]
+        return np.array(
+            [min(reach[u][v], reach[v][u]) for u, v in zip(self._eu.tolist(), self._ev.tolist())],
+            dtype=float,
+        )
+
+    @cached_property
+    def _dist(self) -> np.ndarray:
+        """The all-pairs distance matrix, built on first read."""
+        n = len(self._arcs)
+        dist = np.full((n, n), math.inf)
+        for i in range(n):
+            row = _dijkstra(self._arcs, {i: 0.0})
+            dist[i, list(row)] = list(row.values())
         # summation order differs per source, so enforce exact symmetry
         return np.minimum(dist, dist.T)
 
@@ -164,54 +187,64 @@ class MetricMeasureSpace:
         This can be smaller than the largest edge length when an edge is
         shortcut by a cheaper path.  Returns 0 for an edgeless graph.
         """
-        return float(self._dist[self._eu, self._ev].max(initial=0.0))
+        return float(self._edge_d.max(initial=0.0))
 
     def mass(self, subset: Iterable[str] | None = None) -> float:
         """Total measure of ``subset`` (the whole space when omitted)."""
         if subset is None:
             return float(sum(self._measure.values()))
-        total = 0.0
-        for v in set(subset):
-            self._check(v)
-            total += self._measure[v]
-        return total
+        return float(sum(self._measure[v] for v in self.check_subset(subset)))
 
     def measure_vector(self) -> np.ndarray:
         return np.array([self._measure[v] for v in self._vertices])
 
     def check_subset(self, subset: Iterable[str]) -> frozenset[str]:
-        """Validate a vertex set against the space and return it frozen."""
+        """Validate a vertex set against the space and return it frozen.  A
+        string is rejected: iterating it would give its characters."""
+        if isinstance(subset, str):
+            raise SpaceError(f"a vertex set must be a collection of ids, got the string {subset!r}")
         out = frozenset(str(v) for v in subset)
         for v in out:
             self._check(v)
         return out
 
 
-def _dijkstra(arcs: list[list[tuple[int, float]]], init: Mapping[int, float]) -> np.ndarray:
+def _dijkstra(
+    arcs: list[list[tuple[int, float]]],
+    init: Mapping[int, float],
+    radius: float = math.inf,
+    unit: bool = False,
+) -> dict[int, float]:
     """Multi-source shortest paths over vertex indices.
 
-    ``arcs[u]`` lists the ``(v, cost)`` arcs out of ``u``, costs nonnegative;
-    ``init`` maps the start indices to their potentials.  Returns the distance
-    vector, ``inf`` where no start reaches.  With nonnegative costs every
-    value is the least float sum along a path, whatever the pop order.
+    ``arcs[u]`` lists the ``(v, cost)`` arcs out of ``u``, costs nonnegative,
+    or each of cost 1 when ``unit``; ``init`` maps the start indices to their
+    potentials.  Returns the distance of each vertex within ``radius``, by
+    index; a vertex no start reaches is absent.  With nonnegative costs every
+    value is the least float sum along a path, whatever the pop order.  The
+    search stops at the first pop past ``radius``, so it costs the ball, not
+    the graph; up to there it is the unbounded search step for step, and a
+    popped value never changes, so every value equals the unbounded one.
     """
-    dist = [math.inf] * len(arcs)
+    dist: dict[int, float] = {}
     heap = []
     for i, d in init.items():
-        if d < dist[i]:
+        if d < dist.get(i, math.inf):
             dist[i] = d
             heap.append((d, i))
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
+        if d > radius:
+            break
         if d > dist[u]:  # superseded by a shorter push
             continue
         for v, cost in arcs[u]:
-            nd = d + cost
-            if nd < dist[v]:
+            nd = d + (1 if unit else cost)
+            if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return np.array(dist)
+    return {v: d for v, d in dist.items() if d <= radius}
 
 
 def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:

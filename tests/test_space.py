@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +10,23 @@ from helpers import oracle_distance, random_connected_space, random_disconnected
 from modcalc import (
     MetricMeasureSpace,
     SpaceError,
+    asymptotic_slope,
     build_space,
+    capacity,
+    connecting_family,
     cycle_space,
+    endpoints_in,
+    family_through,
     grid_space,
+    hop_slope_density,
+    lipschitz_constant,
     lp_norm,
+    n_gradient,
+    path_relax,
     path_space,
 )
+from modcalc.curve import _edge_table, _hop_table
+from modcalc.families import family_from_json
 from modcalc.space import space_to_json
 
 
@@ -161,3 +173,78 @@ def test_disconnected_distance_inf_and_diameter():
     assert math.isinf(s.distance("a", "c"))
     assert s.diameter() == 1.0
     assert s.mass() == 3.0
+
+
+def _relengthed(s: MetricMeasureSpace, length) -> MetricMeasureSpace:
+    return MetricMeasureSpace(s.vertices, [(u, v, length()) for u, v, _ in s.edges], s.measure)
+
+
+def test_every_distance_reader_matches_the_matrix_bit_for_bit():
+    # the edge distances come from searches bounded by each vertex's longest
+    # edge; the reference is the all-pairs matrix of a twin, read first
+    rng = random.Random(17)
+    shortcut = 0
+    for k in range(24):
+        make = (random_connected_space, random_disconnected_space)[k % 2]
+        s = make(rng, rng.randint(6, 14), extra_edges=5, len_range=(0.1, 3.0))
+        if k % 3 == 0:
+            s = _relengthed(s, lambda: rng.lognormvariate(0.0, 1.5))
+        D = MetricMeasureSpace(s.vertices, s.edges, s.measure).distance_matrix()
+        eu = [s.index[u] for u, _, _ in s.edges]
+        ev = [s.index[v] for _, v, _ in s.edges]
+        assert _edge_table(s).d.tobytes() == D[eu, ev].tobytes()
+        assert s.max_edge_distance() == D[eu, ev].max(initial=0.0)
+        shortcut += sum(D[a, b] < le for a, b, (_, _, le) in zip(eu, ev, s.edges))
+
+        fam = connecting_family(s, s.vertices, s.vertices, 2)
+        table = _hop_table(s, fam.curves)
+        assert table.d.tobytes() == D[table.u, table.v].tobytes()
+
+        # one hop of the JSON family joins two vertices that share no edge
+        edges = set(zip(eu, ev)) | set(zip(ev, eu))
+        a, b = rng.choice(
+            [(a, b) for a in range(len(s)) for b in range(a) if (a, b) not in edges and D[a, b] < math.inf]
+        )
+        u, w, _ = s.edges[0]
+        vs = s.vertices
+        obj = {"type": "explicit", "curves": [{"vertices": [u, w]}, {"vertices": [vs[a], vs[b], vs[a]]}]}
+        table = _hop_table(s, family_from_json(s, obj).curves)
+        assert table.d.tobytes() == D[table.u, table.v].tobytes()
+    assert shortcut > 0  # some edge is longer than its distance
+
+
+def test_gradient_and_capacity_never_build_the_distance_matrix():
+    s = build_space(space_to_json(_relengthed(grid_space(6, 6), random.Random(3).random)))
+    f = {v: float(i % 7) for i, v in enumerate(s.vertices)}
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    n_gradient(s, f, fam, 2.0)
+    capacity(s, ["0,0"], fam, 2.0)
+    hop_slope_density(s, f, fam)
+    asymptotic_slope(s, f)
+    s.max_edge_distance()
+    assert "_dist" not in vars(s)
+    s.diameter()
+    assert "_dist" in vars(s)
+
+
+def test_a_string_is_no_vertex_set():
+    # "10" would otherwise be read as the set {"1", "0"}
+    s = path_space(12)
+    fam = connecting_family(s, s.vertices, s.vertices, 1)
+    assert capacity(s, ["10"], fam, 2.0).value == pytest.approx(2.2414, abs=1e-3)
+    f = {v: float(v) for v in s.vertices}
+    calls = [
+        lambda: s.check_subset("10"),
+        lambda: s.mass("10"),
+        lambda: capacity(s, "10", fam, 2.0),
+        lambda: connecting_family(s, "10", s.vertices, 1),
+        lambda: connecting_family(s, s.vertices, "10", 1),
+        lambda: family_through(s, "10", 2),
+        lambda: endpoints_in(s, "10", 2),
+        lambda: lipschitz_constant(s, f, "10"),
+        lambda: path_relax(s, f, f, "10", 1.0, 20.0),
+    ]
+    for call in calls:
+        with pytest.raises(SpaceError, match="string '10'"):
+            call()
+    assert s.mass(["10"]) == 1.0
