@@ -190,10 +190,13 @@ class MetricMeasureSpace:
         return float(self._edge_d.max(initial=0.0))
 
     def mass(self, subset: Iterable[str] | None = None) -> float:
-        """Total measure of ``subset`` (the whole space when omitted)."""
+        """Total measure of ``subset`` (the whole space when omitted), added
+        in ``vertices`` order: the order of a set of strings changes with the
+        process's hash seed, and so would the last bits of the sum."""
         if subset is None:
             return float(sum(self._measure.values()))
-        return float(sum(self._measure[v] for v in self.check_subset(subset)))
+        chosen = self.check_subset(subset)
+        return float(sum(self._measure[v] for v in self._vertices if v in chosen))
 
     def measure_vector(self) -> np.ndarray:
         return np.array([self._measure[v] for v in self._vertices])
@@ -235,8 +238,8 @@ def _dijkstra(
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
-        if d > radius:
-            break
+        if d > radius:  # values past the radius need not be final yet
+            return {v: x for v, x in dist.items() if x <= radius}
         if d > dist[u]:  # superseded by a shorter push
             continue
         for v, cost in arcs[u]:
@@ -244,7 +247,7 @@ def _dijkstra(
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return {v: d for v, d in dist.items() if d <= radius}
+    return dist
 
 
 def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:

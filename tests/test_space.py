@@ -133,6 +133,8 @@ def test_measure_modularity(seed):
     lhs = s.mass(A | B) + s.mass(A & B)
     rhs = s.mass(A) + s.mass(B)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # added in vertex order, whatever the order of the set
+    assert s.mass(set(s.vertices)) == s.mass(reversed(s.vertices)) == s.mass()
 
 
 def test_json_round_trip():
