@@ -58,14 +58,13 @@ __all__ = ["SolveResult", "solve_nonneg", "solve_capacity"]
 _TINY = 1e-300
 _EPS = float(np.finfo(float).eps)
 # Widest padded row, as a share of the columns, that is still multiplied
-# entry by entry; wider rows go through a dense copy and BLAS.  Whole solves
-# above it are no faster padded: dense against padded on two Xeon cores (2
-# BLAS threads), medians of 10 alternating pairs, the 8172 x 36 modulus at
-# lam 1 took 0.247 / 0.238 s, capacity at p 2 on the 4x4 simple paths h <= 3
-# 9.6 / 13.9 ms (dense faster in 10 of 10), on the 3x3 walks h <= 6 77-79 /
-# 93-102 ms; padded rows everywhere add 0.15 s to a 1.5 s capacity-grid
-# benchmark pass.  Moving the threshold would also move instances between
-# the two paths, whose sums differ in their last bits.
+# entry by entry; wider rows go through a dense copy and BLAS.  Of the
+# presolved capacity-grid benchmark solves, the 21 on grids up to 5x5 (rows
+# 4 wide) reach the copy.  Forced padded (two Xeon cores, whole calls,
+# medians of 11) 19 were slower, 5x5 p 1 1.95 against 1.45 ms, and 5x5 p 2
+# took 250 iterations instead of 68 (23-88 against 4-6 ms in three runs);
+# they summed to 126 against 54 ms.  Moving the threshold would also move
+# instances between the two paths, whose sums differ in their last bits.
 _SPARSE_FILL = 0.06
 
 
@@ -122,10 +121,11 @@ class _Rows:
         r = np.flatnonzero(y != 0)
         if 2 * len(r) < len(y):
             # the rows left out add only +-0 terms, and bincount adds the rest
-            # in the same order, so the sum is bit for bit the full one.  On
-            # the 18304 x 4 rows of the 20x20 gradient (two Xeon cores) the
-            # gathered product takes 25 / 91 / 181 / 428 us at 9 / 30 / 60 /
-            # 100 % nonzero duals, the full one 188-262 us at any support
+            # in the same order, so the sum is bit for bit the full one.  It
+            # pays where the presolve drops nothing: p 2 all-pairs modulus on
+            # the simple paths h <= 3 (two Xeon cores, whole calls) took 21
+            # against 27 ms at 12x12 lam 0, 127 against 174 ms at 20x20 lam 1;
+            # presolved gradients pay up to 16 % (10x10 p 1: 6.5 against 5.6 ms)
             terms = self.val.take(r, 0) * y.take(r)[:, None]
             return np.bincount(self.idx.take(r, 0).ravel(), terms.ravel(), self.n)
         return np.bincount(self.idx.ravel(), (self.val * y[:, None]).ravel(), self.n)

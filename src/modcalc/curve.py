@@ -85,7 +85,7 @@ class AtomicMeasureOnCurve:
 def validate_curve(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:
     """Check the curve's invariants and return the hop lengths checked."""
     _curves(space, [curve.vertices], [curve.times])
-    return _hop_table(space, [curve]).d.tolist()
+    return _hop_lengths(space, curve)
 
 
 def make_curve(
@@ -324,9 +324,7 @@ def _finite_values(
 
 
 def _hop_lengths(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:
-    return [
-        space.distance(u, v) for u, v in zip(curve.vertices, curve.vertices[1:])
-    ]
+    return _hop_table(space, [curve]).d.tolist()
 
 
 def length(space: MetricMeasureSpace, curve: DiscreteCurve) -> float:
@@ -354,11 +352,11 @@ def path_integral(
     in ``rho`` and additive over concatenation.
     """
     total = 0.0
-    for u, v in zip(curve.vertices, curve.vertices[1:]):
+    for u, v, d in zip(curve.vertices, curve.vertices[1:], _hop_lengths(space, curve)):
         ru, rv = float(rho[u]), float(rho[v])
         if not (ru >= 0 and rv >= 0):
             raise CurveError("density must be nonnegative")
-        total += 0.5 * (ru + rv) * space.distance(u, v)
+        total += 0.5 * (ru + rv) * d
     return total
 
 
@@ -439,7 +437,8 @@ def restrict(
     """Subcurve between two breakpoint times, affinely rescaled to [0, 1].
 
     Only breakpoint times are accepted: vertices are the only evaluation
-    sites in the discrete model, so mid-hop splitting is rejected.
+    sites in the discrete model, so mid-hop splitting is rejected.  The
+    subcurve is validated as ``make_curve`` validates, so tied times raise.
     """
     if curve.is_constant:
         raise CurveError("cannot restrict the constant curve")
@@ -455,9 +454,8 @@ def restrict(
     if i >= j:
         raise CurveError("restriction needs s < t")
     lo, hi = curve.times[i], curve.times[j]
-    times = tuple((x - lo) / (hi - lo) for x in curve.times[i : j + 1])
-    times = (0.0,) + times[1:-1] + (1.0,)
-    return DiscreteCurve(times, curve.vertices[i : j + 1])
+    times = (0.0, *((x - lo) / (hi - lo) for x in curve.times[i + 1 : j]), 1.0)
+    return _curves(space, [curve.vertices[i : j + 1]], [times])[0]
 
 
 def q_energy(space: MetricMeasureSpace, curve: DiscreteCurve, q: float) -> float:
@@ -475,9 +473,7 @@ def q_energy(space: MetricMeasureSpace, curve: DiscreteCurve, q: float) -> float
     if abs(t0) > 1e-12 or abs(t1 - 1.0) > 1e-12:
         raise CurveError("q_energy needs a curve parametrized on [0, 1]")
     hops = _hop_lengths(space, curve)
-    speeds = [
-        d / (b - a) for d, a, b in zip(hops, curve.times, curve.times[1:])
-    ]
+    speeds = [d / (b - a) for d, a, b in zip(hops, curve.times, curve.times[1:])]
     if math.isinf(q):
         return max(speeds)
     return float(

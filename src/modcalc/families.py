@@ -83,7 +83,7 @@ def _walks(
             if len(out) == _CURVE_BUDGET:
                 raise SpaceError(
                     f"the family has more than {_CURVE_BUDGET} curves; enumerating every "
-                    "walk does not scale (see ROADMAP item 5, constraint generation)"
+                    "walk does not scale; constraint generation (not implemented) would avoid it"
                 )
             out.append(tuple(seq))
         if len(seq) - 1 >= max_hops:

@@ -51,6 +51,11 @@ class ModulusResult:
     label: str = ""
 
 
+def _check_lam(lam: int) -> None:
+    if lam not in (0, 1):
+        raise ModulusError(f"lambda must be 0 or 1, got {lam}")
+
+
 def admissibility_matrix(
     space: MetricMeasureSpace, family: CurveFamily | Iterable[DiscreteCurve], lam: int
 ) -> tuple[np.ndarray, list[DiscreteCurve]]:
@@ -60,6 +65,7 @@ def admissibility_matrix(
     (two units for a constant curve, whose endpoints coincide).  Rows depend
     only on the vertex sequence, never on the parametrization.
     """
+    _check_lam(lam)
     curves = list(family)
     return _hop_table(space, curves).matrix(lam), curves
 
@@ -78,8 +84,7 @@ def admissible_check(
     curve makes the constraint unsatisfiable by any finite density.  A NaN
     or negative density raises ``CurveError``.
     """
-    if lam not in (0, 1):
-        raise ModulusError(f"lambda must be 0 or 1, got {lam}")
+    _check_lam(lam)
     table = _hop_table(space, list(family))
     r = _on_vertices(space, rho)
     lhs = table.path_integrals(r)
@@ -106,8 +111,7 @@ def modulus(
     dual curve weights.  Values are exactly invariant under reparametrization
     of the family because the constraint rows only see vertex sequences.
     """
-    if lam not in (0, 1):
-        raise ModulusError(f"lambda must be 0 or 1, got {lam}")
+    _check_lam(lam)
     try:
         _check_settings(p, tol, max_iter)
     except ValueError as exc:

@@ -29,9 +29,9 @@ class MetricMeasureSpace:
 
     The metric is the shortest-path metric of the edge-length graph, which
     guarantees the metric axioms by construction; vertices in different
-    components are at distance ``math.inf``.  All-pairs distances are computed
-    eagerly, so instances are immutable after construction and safe to share
-    read-only across concurrent computations.
+    components are at distance ``math.inf``.  The all-pairs distance matrix is
+    a cache, filled on its first read with a value the edges alone determine,
+    so an instance is still safe to share read-only across computations.
 
     Vertex ids are opaque strings.  Iteration order (``vertices``) is the
     construction order and is used everywhere deterministic output matters.

@@ -110,7 +110,7 @@ def test_family_over_the_curve_budget_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "SpaceError"
-    assert "ROADMAP item 5" in error["message"]
+    assert "constraint generation" in error["message"]
 
 
 def test_plan_command(files, capsys):

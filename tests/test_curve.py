@@ -254,6 +254,35 @@ def test_restrict(path3):
     )
 
 
+def test_restrict_rejects_rescaled_times_that_tie(path3):
+    # 5e-324 / 1e10 rounds to 0.0; restrict used to return times (0.0, 0.0, 1.0)
+    c = make_curve(path3, ["0", "1", "2"], [0.0, 5e-324, 1e10])
+    with pytest.raises(CurveError, match="strictly increasing"):
+        restrict(path3, c, 0.0, 1e10)
+
+
+def test_curve_quantities_check_the_hops_of_a_direct_curve():
+    # a curve built directly has not been through make_curve; length used to
+    # add an inf or a 0 hop and path_integral to return inf or nan
+    s = MetricMeasureSpace(["a", "b", "c"], [("a", "b", 1.0)], {v: 1.0 for v in "abc"})
+    rho = {"a": 0.0, "b": 1.0, "c": math.inf}
+    calls = [
+        lambda c: length(s, c),
+        lambda c: path_integral(s, c, rho),
+        lambda c: variation_measures(s, c, rho),
+        lambda c: q_energy(s, c, 2.0),
+    ]
+    cases = [
+        (DiscreteCurve((0.0, 1.0), ("a", "c")), "hop 'a'->'c' crosses components"),
+        (DiscreteCurve((0.0, 0.5, 1.0), ("c", "c", "a")), "zero-length hop at 'c'"),
+        (DiscreteCurve((0.0, 1.0), ("a", "zz")), "unknown vertex 'zz'"),
+    ]
+    for curve, message in cases:
+        for call in calls:
+            with pytest.raises(CurveError, match=message):
+                call(curve)
+
+
 def test_q_energy(path3):
     c = make_curve(path3, ["0", "1", "2"])  # constant speed, length 2
     assert q_energy(path3, c, 2.0) == pytest.approx(4.0)

@@ -80,6 +80,21 @@ def test_admissibility_matrix_is_float_without_coefficients(path3):
         assert A.dtype == np.float64 and A.shape == shape and not A.any()
 
 
+def test_every_admissibility_entry_point_rejects_other_lambdas(path3):
+    # admissibility_matrix used to return the lam = 0 rows for any lam
+    fam = connecting_family(path3, ["0"], ["2"], 2)
+    rho = {v: 1.0 for v in path3.vertices}
+    calls = [
+        lambda lam: admissibility_matrix(path3, fam, lam),
+        lambda lam: admissible_check(path3, rho, fam, lam),
+        lambda lam: modulus(path3, fam, 2.0, lam),
+    ]
+    for call in calls:
+        for lam in (-1, 2, 5):
+            with pytest.raises(ModulusError, match=f"lambda must be 0 or 1, got {lam}"):
+                call(lam)
+
+
 def test_negative_density_message_names_the_value(path3):
     fam = connecting_family(path3, ["0"], ["2"], 2)
     for bad in (-0.5, math.nan):

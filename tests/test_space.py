@@ -19,11 +19,17 @@ from modcalc import (
     family_through,
     grid_space,
     hop_slope_density,
+    length,
     lipschitz_constant,
     lp_norm,
+    make_curve,
     n_gradient,
+    path_integral,
     path_relax,
     path_space,
+    q_energy,
+    restrict,
+    variation_measures,
 )
 from modcalc.curve import _edge_table, _hop_table
 from modcalc.families import family_from_json
@@ -227,6 +233,20 @@ def test_gradient_and_capacity_never_build_the_distance_matrix():
     assert "_dist" not in vars(s)
     s.diameter()
     assert "_dist" in vars(s)
+
+
+def test_curve_quantities_never_build_the_distance_matrix():
+    # the curve-level quantities read edge hops from the edge distances
+    s = build_space(space_to_json(_relengthed(grid_space(6, 6), random.Random(4).random)))
+    f = {v: float(i % 5) for i, v in enumerate(s.vertices)}
+    walk = make_curve(s, ["0,0", "0,1", "1,1", "0,1", "0,2"], [0.0, 0.125, 0.25, 0.75, 1.0])
+    for c in (walk, make_curve(s, ["2,2", "2,3"]), make_curve(s, ["3,3"])):
+        length(s, c)
+        path_integral(s, c, f)
+        variation_measures(s, c, f)
+        q_energy(s, c, 2.0)
+    restrict(s, walk, 0.25, 1.0)
+    assert "_dist" not in vars(s)
 
 
 def test_a_string_is_no_vertex_set():
