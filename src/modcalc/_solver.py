@@ -270,6 +270,7 @@ def _solve(
         return SolveResult(value, lo * col, np.zeros(k), 0.0, value, 0, True)
     val = val * col[idx]
     row = np.abs(val).max(axis=1, initial=0.0)
+    row[row == 0] = 1.0  # a constant curve's all-zero row reads 0 >= 0: leave it unscaled
     val /= row[:, None]
     r = rhs / row
     scale = max(float(r.max()), float(lo.max()))

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, _pair_keys
 
 __all__ = [
     "CurveError",
@@ -227,24 +227,7 @@ def _table(space: MetricMeasureSpace, seqs: Sequence[tuple[str, ...]]) -> _HopTa
     first = last - sizes + 1
     u, v = np.delete(flat, last), np.delete(flat, first)
     cid = np.repeat(np.arange(len(seqs)), sizes - 1)
-    return _HopTable(len(space), cid, u, v, _hop_distances(space, u, v), flat[first], flat[last])
-
-
-def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """One key per unordered pair of vertex indices below ``n``."""
-    return np.minimum(u, v) * n + np.maximum(u, v)
-
-
-def _hop_distances(space: MetricMeasureSpace, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distance of each hop ``u[j] -> v[j]``: the stored edge distances when
-    every hop is a graph edge, else the all-pairs matrix, built on that read
-    (read in place: ``distance_matrix()`` would copy it)."""
-    key = _pair_keys(u, v, len(space))
-    edge = _pair_keys(space._eu, space._ev, len(space))
-    if not np.isin(key, edge).all():
-        return space._dist[u, v]
-    order = np.argsort(edge)
-    return space._edge_d[order[np.searchsorted(edge, key, sorter=order)]]
+    return _HopTable(len(space), cid, u, v, space._pair_distances(u, v), flat[first], flat[last])
 
 
 def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
@@ -373,6 +356,9 @@ def variation_measures(
     """
     n = len(curve.vertices)
     hops = _hop_lengths(space, curve)
+    for x in curve.vertices:
+        if not math.isfinite(float(f[x])):
+            raise ValueError(f"f must be finite, got {float(f[x])} at {x!r}")
     increments = [
         float(f[v]) - float(f[u]) for u, v in zip(curve.vertices, curve.vertices[1:])
     ]
@@ -402,9 +388,12 @@ def stieltjes(
     """Discrete Riemann-Stieltjes sum of ``a`` against the increments of ``f``.
 
     ``left`` evaluates ``a`` at the hop start, ``right`` at the hop end.
+    A zero-length hop, or a curve vertex that ``a`` or ``f`` leaves out,
+    raises ``CurveError``.
     """
     if rule not in ("left", "right"):
         raise CurveError(f"unknown rule {rule!r}")
+    _check_walk(curve, a=a, f=f)
     total = 0.0
     for u, v in zip(curve.vertices, curve.vertices[1:]):
         inc = float(f[v]) - float(f[u])
@@ -423,12 +412,26 @@ def ibp_identity(
     ``boundary = T12 + T21`` hold exactly; this is the unique left/right
     pairing with that property.
     """
+    _check_walk(curve, f1=f1, f2=f2)
     t12 = stieltjes(curve, f1, f2, "left")
     t21 = stieltjes(curve, f2, f1, "right")
     boundary = float(f1[curve.end]) * float(f2[curve.end]) - float(
         f1[curve.start]
     ) * float(f2[curve.start])
     return t12, t21, boundary
+
+
+def _check_walk(curve: DiscreteCurve, **values: Mapping[str, float]) -> None:
+    """The curve checks that need no space: raise ``CurveError`` on a
+    zero-length hop, or on a vertex of the curve that one of the named
+    ``values`` leaves out."""
+    for u, v in zip(curve.vertices, curve.vertices[1:]):
+        if u == v:
+            raise CurveError(f"zero-length hop at {u!r}")
+    for name, g in values.items():
+        for x in curve.vertices:
+            if x not in g:
+                raise CurveError(f"{name} has no value at vertex {x!r}")
 
 
 def restrict(

@@ -59,7 +59,7 @@ def lipschitz_constant(
         raise SpaceError("lipschitz_constant needs a nonempty vertex set")
     at = np.array([space.index[v] for v in vs])
     i, j = np.triu_indices(len(at), 1)
-    d = space._dist[at[i], at[j]]
+    d = space._pair_distances(at[i], at[j])
     fv = np.array([float(f[v]) for v in vs])
     finite = np.isfinite(d)
     return float((np.abs(fv[i] - fv[j])[finite] / d[finite]).max(initial=0.0))
@@ -82,7 +82,8 @@ def mcshane_extend(
         raise ValueError(
             f"extension bound {bound} does not dominate the Lipschitz constant {have}"
         )
-    d = space._dist[[space.index[y] for y in anchor]]
+    at = np.array([space.index[y] for y in anchor])
+    d = space._pair_distances(at[:, None], np.arange(len(space)))
     fa = np.array([float(f_on_subset[y]) for y in anchor])
     with np.errstate(invalid="ignore"):  # 0 * inf, replaced by inf
         terms = np.where(np.isinf(d), math.inf, fa[:, None] + bound * d)
@@ -116,14 +117,6 @@ def _worst_curve(table: _HopTable, f: np.ndarray, rho: np.ndarray, tol: float) -
     return int(over[np.argmax(violation[over])]) if over.size else None
 
 
-def _relax_hops(space: MetricMeasureSpace, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(u, v)`` of the distinct vertices at distance at most
-    ``delta``, in row-major order: the hops that ``path_relax`` may take."""
-    near = space._dist <= delta
-    np.fill_diagonal(near, False)
-    return np.nonzero(near)
-
-
 def path_relax(
     space: MetricMeasureSpace,
     f: Mapping[str, float],
@@ -155,9 +148,9 @@ def path_relax(
         if not float(f[c]) >= 0:
             raise ValueError(f"f must be nonnegative on the source set, got f[{c}]")
 
-    u, v = _relax_hops(space, delta)
+    u, v, d = space._near_pairs(delta)
     gv = _on_vertices(space, g)
-    cost = 0.5 * (gv[u] + gv[v]) * space._dist[u, v]
+    cost = 0.5 * (gv[u] + gv[v]) * d
     arcs: list[list[tuple[int, float]]] = [[] for _ in space.vertices]
     for a, b, c in zip(u.tolist(), v.tolist(), cost.tolist()):
         arcs[a].append((b, c))

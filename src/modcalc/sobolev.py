@@ -12,7 +12,7 @@ import numpy as np
 from ._solver import _check_settings, solve_capacity, solve_nonneg
 from .curve import DiscreteCurve, _curves, _edge_table, _finite_values, _hop_table, _on_vertices
 from .families import CurveFamily, connecting_family, explicit_family
-from .lipschitz import _relax_hops, _worst_curve, asymptotic_slope, path_relax
+from .lipschitz import _worst_curve, asymptotic_slope, path_relax
 from .modulus import ModulusError, _sum_duals, optimal_plan
 from .plans import Plan, _weighted_table, barycenter
 from .space import MetricMeasureSpace, SpaceError, lp_norm
@@ -334,7 +334,8 @@ def _harness_family(
     pair within ``delta``, so relaxation hops are exactly constrained."""
     walks = connecting_family(space, space.vertices, space.vertices, max_hops)
     vs = space.vertices
-    pairs = _curves(space, [(vs[u], vs[v]) for u, v in zip(*_relax_hops(space, delta))])
+    u, v, _ = space._near_pairs(delta)
+    pairs = _curves(space, [(vs[a], vs[b]) for a, b in zip(u, v)])
     return CurveFamily(walks.curves + tuple(pairs), f"harness(h<={max_hops})").normalized()
 
 

@@ -112,7 +112,8 @@ class MetricMeasureSpace:
 
     @cached_property
     def _dist(self) -> np.ndarray:
-        """The all-pairs distance matrix, built on first read."""
+        """The all-pairs distance matrix, built on first read; other modules
+        ask ``_pair_distances`` or ``_near_pairs`` instead."""
         n = len(self._arcs)
         dist = np.full((n, n), math.inf)
         for i in range(n):
@@ -120,6 +121,31 @@ class MetricMeasureSpace:
             dist[i, list(row)] = list(row.values())
         # summation order differs per source, so enforce exact symmetry
         return np.minimum(dist, dist.T)
+
+    def _pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Distance of each index pair of the arrays ``u`` and ``v``, broadcast
+        together: the stored edge distances when every pair is a graph edge,
+        else the all-pairs matrix, built on that read (read in place:
+        ``distance_matrix()`` would copy it)."""
+        key = _pair_keys(u, v, len(self))
+        edge = _pair_keys(self._eu, self._ev, len(self))
+        if not np.isin(key, edge).all():
+            return self._dist[u, v]
+        order = np.argsort(edge)
+        return self._edge_d[order[np.searchsorted(edge, key, sorter=order)]]
+
+    def _near_pairs(self, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index pairs ``(u, v)``, ``u != v``, at distance at most ``delta``,
+        in row-major order, and their distances, equal bit for bit to the
+        entries of ``_dist``: a search bounded by ``delta`` from every vertex
+        finds each such pair in one direction at least, and a direction it
+        misses lies past ``delta``, so it cannot hold the smaller value."""
+        reach = [_dijkstra(self._arcs, {i: 0.0}, delta) for i in range(len(self._arcs))]
+        found = {(a, b) for a, row in enumerate(reach) for b in row if b != a}
+        pairs = sorted(found | {(b, a) for a, b in found})
+        d = [min(reach[a].get(b, math.inf), reach[b].get(a, math.inf)) for a, b in pairs]
+        u, v = np.array(pairs, np.intp).reshape(-1, 2).T
+        return u, v, np.array(d, float)
 
     # -- accessors ------------------------------------------------------
 
@@ -210,6 +236,11 @@ class MetricMeasureSpace:
         for v in out:
             self._check(v)
         return out
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One key per unordered pair of vertex indices below ``n``."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
 def _dijkstra(

@@ -145,6 +145,16 @@ def test_variation_measures_examples(path3):
     assert s_b.total() == pytest.approx(2.0)
 
 
+def test_variation_measures_reject_a_non_finite_f_on_the_curve(path3):
+    # a NaN used to pass through to NaN atoms; off the curve f may be anything
+    walk = make_curve(path3, ["0", "1"])
+    with pytest.raises(ValueError, match="f must be finite, got nan at '1'"):
+        variation_measures(path3, walk, {"0": 0.0, "1": math.nan, "2": 1.0})
+    with pytest.raises(ValueError, match="f must be finite, got inf at '0'"):
+        variation_measures(path3, walk, {"0": math.inf, "1": 0.0})
+    assert variation_measures(path3, walk, {"0": 0.0, "1": 1.0, "2": math.nan})[2].atoms == (0.5, 0.5)
+
+
 def test_signed_below_total_atomwise():
     rng = random.Random(21)
     for _ in range(60):
@@ -188,6 +198,25 @@ def test_ibp_examples(path3):
     t12, t21, boundary = ibp_identity(walk, ones, f)
     assert t21 == 0.0
     assert t12 == pytest.approx(boundary)
+
+
+def test_stieltjes_and_ibp_check_the_curve(path3):
+    # they take no space; a missing vertex used to raise a bare KeyError and
+    # a zero-length hop to pass
+    ones = {v: 1.0 for v in (*path3.vertices, "zz")}
+    calls = [
+        (lambda c, g: stieltjes(c, g, ones), "a"),
+        (lambda c, g: stieltjes(c, ones, g, "right"), "f"),
+        (lambda c, g: ibp_identity(c, g, ones), "f1"),
+        (lambda c, g: ibp_identity(c, ones, g), "f2"),
+    ]
+    for call, name in calls:
+        with pytest.raises(CurveError, match="zero-length hop at '0'"):
+            call(DiscreteCurve((0.0, 1.0), ("0", "0")), ones)
+        with pytest.raises(CurveError, match=f"^{name} has no value at vertex 'zz'"):
+            call(DiscreteCurve((0.0, 1.0), ("0", "zz")), {"0": 1.0})
+        with pytest.raises(CurveError, match=f"^{name} has no value at vertex '2'"):
+            call(make_curve(path3, ["1", "2"]), {"0": 1.0, "1": 2.0})
 
 
 @settings(max_examples=60, deadline=None)

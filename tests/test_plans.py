@@ -257,6 +257,16 @@ def test_derivation_norm_bound(path3):
         assert rep["ok"] and rep["max_ratio"] <= 1.0 + 1e-12
 
 
+def test_derivation_norm_bound_reports_a_non_edge_hop(path3):
+    # the hop 0 -> 2 is no graph edge, so the slope at '0' does not see it
+    plan = point_mass(make_curve(path3, ["0", "2"]))
+    flat = derivation_norm_bound(path3, plan, {"0": 0.0, "1": 0.0, "2": 2.0})
+    assert not flat["ok"] and flat["violations"] == ["0"]  # zero bound at '0'
+    steep = derivation_norm_bound(path3, plan, {"0": 0.0, "1": 0.5, "2": 2.0})
+    assert not steep["ok"] and steep["violations"] == ["0"]
+    assert steep["max_ratio"] == 2.0
+
+
 def test_restriction_stability():
     rng = random.Random(61)
     for _ in range(15):

@@ -112,6 +112,22 @@ def test_capacity_solver_no_rows():
     assert res.converged
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_capacity_solver_leaves_a_constant_curve_harmless(p):
+    # a constant curve gives an all-zero row, which the row scaling used to
+    # divide by zero; with it the solve is the one without it
+    C = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    a_idx, b_idx = np.array([0, 1, 2]), np.array([1, 2, 2])
+    m, lo, hi = np.ones(3), np.array([1.0, 0.0, 0.0]), np.full(3, math.inf)
+    want = solve_capacity(C[:2], a_idx[:2], b_idx[:2], m, p, lo, hi)
+    res = solve_capacity(C, a_idx, b_idx, m, p, lo, hi)
+    assert res.value == want.value and res.iterations == want.iterations
+    assert res.x.tobytes() == want.x.tobytes()
+    # the rows are the plus rows, then the minus rows
+    assert res.y[[2, 5]].tolist() == [0.0, 0.0]
+    assert res.y[[0, 1, 3, 4]].tobytes() == want.y.tobytes()
+
+
 def test_capacity_solver_matches_direct_formula():
     # one curve between two vertices at distance 1, f(a) = 1 and p = 2: for
     # a given f(b) the least rho is 1 - f(b) at both ends, so the optimum is

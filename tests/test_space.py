@@ -16,8 +16,10 @@ from modcalc import (
     connecting_family,
     cycle_space,
     endpoints_in,
+    equivalence_report,
     family_through,
     grid_space,
+    h_gradient_sequence,
     hop_slope_density,
     length,
     lipschitz_constant,
@@ -233,6 +235,39 @@ def test_gradient_and_capacity_never_build_the_distance_matrix():
     assert "_dist" not in vars(s)
     s.diameter()
     assert "_dist" in vars(s)
+
+
+def test_near_pairs_match_the_matrix_filter_bit_for_bit():
+    # pairs within delta from bounded searches, against the matrix of a twin
+    rng = random.Random(23)
+    for k in range(24):
+        make = (random_connected_space, random_disconnected_space)[k % 2]
+        s = make(rng, rng.randint(6, 14), extra_edges=5, len_range=(0.1, 3.0))
+        if k % 4 >= 2:
+            s = _relengthed(s, lambda: rng.lognormvariate(0.0, 1.5))
+        D = MetricMeasureSpace(s.vertices, s.edges, s.measure).distance_matrix()
+        for delta in (s.max_edge_distance(), rng.uniform(0.1, 6.0), 0.0, 1e9):
+            near = D <= delta
+            np.fill_diagonal(near, False)
+            u, v = np.nonzero(near)
+            got = s._near_pairs(delta)
+            assert got[0].tolist() == u.tolist() and got[1].tolist() == v.tolist()
+            assert got[2].tobytes() == D[u, v].tobytes()
+        assert "_dist" not in vars(s)
+
+
+def test_relaxation_never_builds_the_distance_matrix():
+    # relaxation hops come from searches bounded by delta; the harness adds
+    # one-hop curves only on pairs within the longest edge distance, which on
+    # a unit grid are the edges
+    s = build_space(space_to_json(_relengthed(grid_space(6, 6), random.Random(5).random)))
+    f = {v: float(i % 7) for i, v in enumerate(s.vertices)}
+    path_relax(s, f, {v: 1.0 for v in s.vertices}, ["0,0", "5,5"], 2.0, 10.0)
+    h_gradient_sequence(s, f, 2.0, connecting_family(s, s.vertices, s.vertices, 2))
+    assert "_dist" not in vars(s)
+    s = grid_space(4, 4)
+    equivalence_report(s, {v: float(i % 5) for i, v in enumerate(s.vertices)}, 2.0, max_hops=2)
+    assert "_dist" not in vars(s)
 
 
 def test_curve_quantities_never_build_the_distance_matrix():
