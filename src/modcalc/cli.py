@@ -103,8 +103,6 @@ def _emit(config: RunConfig, output: str | None, result: Mapping) -> None:
 
 
 def _emit_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
     keys = sorted({k for row in rows for k in row})
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = DictWriter(fh, fieldnames=keys)

@@ -207,10 +207,7 @@ class _HopTable:
 
     def path_integrals(self, rho: np.ndarray) -> np.ndarray:
         """``path_integral`` of the vertex vector ``rho`` along every curve;
-        ``rho`` must be nonnegative (``+inf`` allowed) at every vertex."""
-        bad = np.flatnonzero(~(rho >= 0))
-        if bad.size:
-            raise CurveError(f"density must be nonnegative, got {rho[bad[0]]}")
+        ``rho`` is a density that ``_densities`` has read."""
         ru, rv = rho[self.u], rho[self.v]
         return np.bincount(self.cid, 0.5 * (ru + rv) * self.d, minlength=len(self.start))
 
@@ -295,15 +292,35 @@ def _on_vertices(space: MetricMeasureSpace, values: Mapping[str, float]) -> np.n
 
 
 def _finite_values(
-    space: MetricMeasureSpace, f: Mapping[str, float], name: str = "f"
+    space: MetricMeasureSpace,
+    f: Mapping[str, float],
+    name: str = "f",
+    at: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """``f`` on the vertices; a NaN would silently drop the constraints it
-    enters (``NaN > 0`` is false), so a non-finite value is an error."""
-    fv = _on_vertices(space, f)
+    """The one reader of a vertex function: ``f`` on the vertices ``at``, in
+    that order (default: every vertex of the space).  A NaN would silently
+    drop the constraints it enters (``NaN > 0`` is false), so a non-finite
+    value is an error."""
+    at = space.vertices if at is None else at
+    fv = np.array([float(f[x]) for x in at])
     bad = np.flatnonzero(~np.isfinite(fv))
     if bad.size:
-        raise ValueError(f"{name} must be finite, got {fv[bad[0]]} at {space.vertices[bad[0]]!r}")
+        raise ValueError(f"{name} must be finite, got {fv[bad[0]]} at {at[bad[0]]!r}")
     return fv
+
+
+def _densities(space: MetricMeasureSpace, rho: Mapping[str, float]) -> np.ndarray:
+    """The one reader of a density: ``rho`` on the vertices, with values in
+    [0, +inf]; a NaN or negative value raises ``CurveError``."""
+    r = _on_vertices(space, rho)
+    bad = np.flatnonzero(~(r >= 0))
+    if bad.size:
+        x = r[bad[0]]
+        kind = "NaN" if np.isnan(x) else "negative"
+        raise CurveError(
+            f"density is {kind} at {space.vertices[bad[0]]!r}: it must be nonnegative, got {x}"
+        )
+    return r
 
 
 def _hop_lengths(space: MetricMeasureSpace, curve: DiscreteCurve) -> list[float]:
@@ -356,12 +373,8 @@ def variation_measures(
     """
     n = len(curve.vertices)
     hops = _hop_lengths(space, curve)
-    for x in curve.vertices:
-        if not math.isfinite(float(f[x])):
-            raise ValueError(f"f must be finite, got {float(f[x])} at {x!r}")
-    increments = [
-        float(f[v]) - float(f[u]) for u, v in zip(curve.vertices, curve.vertices[1:])
-    ]
+    fv = _finite_values(space, f, at=curve.vertices).tolist()
+    increments = [b - a for a, b in zip(fv, fv[1:])]
     s_atoms = [0.0] * n
     mu_atoms = [0.0] * n
     sf_atoms = [0.0] * n

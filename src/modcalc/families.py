@@ -74,7 +74,8 @@ def _walks(
         raise SpaceError("max_hops must be at least 1")
     out: list[tuple[str, ...]] = []
     idx = space.index
-    hops = _dijkstra(space._arcs, {idx[e]: 0 for e in ends}, unit=True)
+    unit = [[(v, 1) for v, _ in arcs] for arcs in space._arcs]
+    hops = _dijkstra(unit, {idx[e]: 0 for e in ends})
     to_ends = {v: hops.get(i, math.inf) for i, v in enumerate(space.vertices)}
 
     def extend(seq: list[str], met: bool) -> None:

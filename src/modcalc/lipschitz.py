@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .curve import DiscreteCurve, _HopTable, _edge_table, _finite_values, _hop_table, _on_vertices
+from .curve import DiscreteCurve, _HopTable, _densities, _edge_table, _finite_values, _hop_table
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
 
 if TYPE_CHECKING:
@@ -20,18 +20,7 @@ __all__ = [
     "mcshane_extend",
     "is_upper_gradient",
     "path_relax",
-    "check_density",
 ]
-
-
-def check_density(rho: Mapping[str, float], where: Iterable[str]) -> None:
-    """Raise if ``rho`` takes a negative (or NaN) value on ``where``."""
-    for v in where:
-        x = float(rho[v])
-        if math.isnan(x):
-            raise ValueError(f"density is NaN at {v!r}")
-        if x < 0:
-            raise ValueError(f"density is negative at {v!r}: {x}")
 
 
 def asymptotic_slope(
@@ -42,7 +31,7 @@ def asymptotic_slope(
     Graph neighborhoods do not shrink, so the slope and the asymptotic slope
     coincide in this model; isolated vertices get 0.
     """
-    slope = _edge_table(space).slopes(_on_vertices(space, f))
+    slope = _edge_table(space).slopes(_finite_values(space, f))
     return dict(zip(space.vertices, slope.tolist()))
 
 
@@ -60,7 +49,7 @@ def lipschitz_constant(
     at = np.array([space.index[v] for v in vs])
     i, j = np.triu_indices(len(at), 1)
     d = space._pair_distances(at[i], at[j])
-    fv = np.array([float(f[v]) for v in vs])
+    fv = _finite_values(space, f, at=vs)
     finite = np.isfinite(d)
     return float((np.abs(fv[i] - fv[j])[finite] / d[finite]).max(initial=0.0))
 
@@ -84,7 +73,7 @@ def mcshane_extend(
         )
     at = np.array([space.index[y] for y in anchor])
     d = space._pair_distances(at[:, None], np.arange(len(space)))
-    fa = np.array([float(f_on_subset[y]) for y in anchor])
+    fa = _finite_values(space, f_on_subset, at=anchor)
     with np.errstate(invalid="ignore"):  # 0 * inf, replaced by inf
         terms = np.where(np.isinf(d), math.inf, fa[:, None] + bound * d)
     return dict(zip(space.vertices, terms.min(axis=0).tolist()))
@@ -105,7 +94,7 @@ def is_upper_gradient(
     """
     curves = list(family)
     table = _hop_table(space, curves)
-    i = _worst_curve(table, _finite_values(space, f), _on_vertices(space, rho), tol)
+    i = _worst_curve(table, _finite_values(space, f), _densities(space, rho), tol)
     return i is None, None if i is None else curves[i]
 
 
@@ -143,13 +132,12 @@ def path_relax(
         raise ValueError(f"delta must be positive, got {delta}")
     if not cap > 0:
         raise ValueError(f"cap must be positive, got {cap}")
-    check_density(g, space.vertices)
+    gv = _densities(space, g)
     for c in src:
         if not float(f[c]) >= 0:
             raise ValueError(f"f must be nonnegative on the source set, got f[{c}]")
 
     u, v, d = space._near_pairs(delta)
-    gv = _on_vertices(space, g)
     cost = 0.5 * (gv[u] + gv[v]) * d
     arcs: list[list[tuple[int, float]]] = [[] for _ in space.vertices]
     for a, b, c in zip(u.tolist(), v.tolist(), cost.tolist()):

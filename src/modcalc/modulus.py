@@ -10,7 +10,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._solver import _check_settings, solve_nonneg
-from .curve import DiscreteCurve, _hop_table, _on_vertices
+from .curve import DiscreteCurve, _densities, _hop_table
 from .families import CurveFamily, family_through
 from .plans import Plan
 from .space import MetricMeasureSpace
@@ -86,7 +86,7 @@ def admissible_check(
     """
     _check_lam(lam)
     table = _hop_table(space, list(family))
-    r = _on_vertices(space, rho)
+    r = _densities(space, rho)
     lhs = table.path_integrals(r)
     if lam == 1:
         lhs = lhs + r[table.start] + r[table.end]

@@ -13,8 +13,8 @@ from .curve import (
     DiscreteCurve,
     _HopTable,
     _curves_from_json,
+    _finite_values,
     _hop_table,
-    _on_vertices,
     curve_to_json,
 )
 from .lipschitz import asymptotic_slope
@@ -223,7 +223,7 @@ def plan_derivation(
     holds exactly by telescoping.
     """
     table, w = _weighted_table(space, plan)
-    fv = _on_vertices(space, f)
+    fv = _finite_values(space, f)
     n = len(space)
     half = w[table.cid] * 0.5 * (fv[table.v] - fv[table.u])
     b = (np.bincount(table.u, half, n) + np.bincount(table.v, half, n)) / space.measure_vector()

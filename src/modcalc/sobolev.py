@@ -10,7 +10,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._solver import _check_settings, solve_capacity, solve_nonneg
-from .curve import DiscreteCurve, _curves, _edge_table, _finite_values, _hop_table, _on_vertices
+from .curve import (
+    DiscreteCurve, _curves, _densities, _edge_table, _finite_values, _hop_table, _on_vertices
+)
 from .families import CurveFamily, connecting_family, explicit_family
 from .lipschitz import _worst_curve, asymptotic_slope, path_relax
 from .modulus import ModulusError, _sum_duals, optimal_plan
@@ -122,7 +124,7 @@ def hop_slope_density(
     minimum rule for gradients is exercised at finite scale.
     """
     table = _hop_table(space, list(family))
-    return dict(zip(space.vertices, table.slopes(_on_vertices(space, f)).tolist()))
+    return dict(zip(space.vertices, table.slopes(_finite_values(space, f)).tolist()))
 
 
 def ug_calculus(
@@ -147,12 +149,13 @@ def ug_calculus(
     pointwise minima of gradients remain gradients.
 
     Raises if ``rho_f`` or ``rho_g`` fails its own upper-gradient check,
-    if ``f`` or ``g`` is not finite, or if a density is NaN or negative.
+    if ``f``, ``g`` or ``phi`` of ``f`` is not finite, or if a density is NaN
+    or negative.
     """
     curves = list(family)
     table = _hop_table(space, curves)
     fv, gv = _finite_values(space, f), _finite_values(space, g, "g")
-    rf, rg = _on_vertices(space, rho_f), _on_vertices(space, rho_g)
+    rf, rg = _densities(space, rho_f), _densities(space, rho_g)
 
     def worst(h: np.ndarray, rho: np.ndarray) -> DiscreteCurve | None:
         i = _worst_curve(table, h, rho, tol)
@@ -161,26 +164,30 @@ def ug_calculus(
     if worst(fv, rf) is not None or worst(gv, rg) is not None:
         raise ValueError("inputs are not upper gradients on the family")
 
-    # on a set of reals the largest difference quotient is attained at
-    # neighbours in sorted order (the triangle inequality)
     values = sorted(set(fv.tolist()))
     phis = [float(phi(x)) for x in values]
+    # phi of f is a vertex function too: a NaN in it would pass every check
+    phi_at = dict(zip(values, phis))
+    phi_f = _finite_values(
+        space, dict(zip(space.vertices, map(phi_at.get, fv.tolist()))), "phi(f)"
+    )
+    # on a set of reals the largest difference quotient is attained at
+    # neighbours in sorted order (the triangle inequality)
     lip_phi = max(
         (abs(pb - pa) / (b - a) for a, b, pa, pb in zip(values, values[1:], phis, phis[1:])),
         default=0.0,
     )
-    phi_at = dict(zip(values, phis))
 
     def scaled(c: float, rho: np.ndarray) -> np.ndarray:
         # a zero factor scales +inf to the zero density, not to NaN
         return c * rho if c else np.zeros_like(rho)
 
     worst_sum = worst(fv + gv, rf + rg)
-    worst_chain = worst(np.array([phi_at[x] for x in fv.tolist()]), scaled(lip_phi, rf))
+    worst_chain = worst(phi_f, scaled(lip_phi, rf))
     sup_f, sup_g = np.abs(fv).max(), np.abs(gv).max()
     worst_leib = worst(fv * gv, scaled(sup_f, rg) + scaled(sup_g, rf))
 
-    rho2 = table.slopes(fv) if rho_f_alt is None else _on_vertices(space, rho_f_alt)
+    rho2 = table.slopes(fv) if rho_f_alt is None else _densities(space, rho_f_alt)
     rho_min = np.minimum(rf, rho2)
     j = _worst_curve(table.single_hops(), fv, rho_min, tol)
     worst_min = None if j is None else curves[table.cid[j]]
@@ -231,13 +238,14 @@ def h_gradient_sequence(
     relaxation only uses hops the gradient is constrained on) and ``cap`` to
     ``max f``, which must be positive.
     """
+    fv = _finite_values(space, f)
     curves = list(family)
     grad = gradient or n_gradient(space, f, curves, p, tol)
     rho = grad.rho
     if delta is None:
         delta = float(_hop_table(space, curves).d.max(initial=0.0)) or max(space.diameter(), 1.0)
     if cap is None:
-        cap = max(float(f[v]) for v in space.vertices)
+        cap = float(fv.max())
     if not cap > 0:
         raise ValueError("cap must be positive; shift f to be nonnegative first")
     if sigmas is None:
@@ -278,7 +286,7 @@ def w_certificate(
     """
     if not plans:
         raise ValueError("w_certificate needs at least one plan")
-    fv, gv = _on_vertices(space, f), _on_vertices(space, g)
+    fv, gv = _finite_values(space, f), _densities(space, g)
     per_plan: list[float] = []
     for plan in plans:
         table, w = _weighted_table(space, plan)

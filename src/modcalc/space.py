@@ -31,6 +31,7 @@ class MetricMeasureSpace:
     guarantees the metric axioms by construction; vertices in different
     components are at distance ``math.inf``.  The all-pairs distance matrix is
     a cache, filled on its first read with a value the edges alone determine,
+    and so are the near pairs of the last ``delta`` asked (``_near_pairs``),
     so an instance is still safe to share read-only across computations.
 
     Vertex ids are opaque strings.  Iteration order (``vertices``) is the
@@ -93,6 +94,7 @@ class MetricMeasureSpace:
         self._ev = np.array([index[v] for _, v, _ in self._edges], dtype=np.intp)
         self._edge_d = self._edge_distances()
         self._edge_d.flags.writeable = False  # hop tables share it
+        self._near: tuple = (None, ())
 
     # -- metric ---------------------------------------------------------
 
@@ -139,13 +141,22 @@ class MetricMeasureSpace:
         in row-major order, and their distances, equal bit for bit to the
         entries of ``_dist``: a search bounded by ``delta`` from every vertex
         finds each such pair in one direction at least, and a direction it
-        misses lies past ``delta``, so it cannot hold the smaller value."""
+        misses lies past ``delta``, so it cannot hold the smaller value.  The
+        three arrays of the last ``delta`` are kept, read-only, for the next
+        call with it."""
+        last, near = self._near  # one read: another thread may replace it
+        if last == delta:
+            return near
         reach = [_dijkstra(self._arcs, {i: 0.0}, delta) for i in range(len(self._arcs))]
         found = {(a, b) for a, row in enumerate(reach) for b in row if b != a}
         pairs = sorted(found | {(b, a) for a, b in found})
         d = [min(reach[a].get(b, math.inf), reach[b].get(a, math.inf)) for a, b in pairs]
         u, v = np.array(pairs, np.intp).reshape(-1, 2).T
-        return u, v, np.array(d, float)
+        near = (u, v, np.array(d, float))
+        for a in near:
+            a.flags.writeable = False
+        self._near = (delta, near)
+        return near
 
     # -- accessors ------------------------------------------------------
 
@@ -247,18 +258,17 @@ def _dijkstra(
     arcs: list[list[tuple[int, float]]],
     init: Mapping[int, float],
     radius: float = math.inf,
-    unit: bool = False,
 ) -> dict[int, float]:
     """Multi-source shortest paths over vertex indices.
 
-    ``arcs[u]`` lists the ``(v, cost)`` arcs out of ``u``, costs nonnegative,
-    or each of cost 1 when ``unit``; ``init`` maps the start indices to their
-    potentials.  Returns the distance of each vertex within ``radius``, by
-    index; a vertex no start reaches is absent.  With nonnegative costs every
-    value is the least float sum along a path, whatever the pop order.  The
-    search stops at the first pop past ``radius``, so it costs the ball, not
-    the graph; up to there it is the unbounded search step for step, and a
-    popped value never changes, so every value equals the unbounded one.
+    ``arcs[u]`` lists the ``(v, cost)`` arcs out of ``u``, costs nonnegative;
+    ``init`` maps the start indices to their potentials.  Returns the
+    distance of each vertex within ``radius``, by index; a vertex no start
+    reaches is absent.  With nonnegative costs every value is the least
+    float sum along a path, whatever the pop order.  The search stops at
+    the first pop past ``radius``, so it costs the ball, not the graph; up
+    to there it is the unbounded search step for step, and a popped value
+    never changes, so every value equals the unbounded one.
     """
     dist: dict[int, float] = {}
     heap = []
@@ -274,7 +284,7 @@ def _dijkstra(
         if d > dist[u]:  # superseded by a shorter push
             continue
         for v, cost in arcs[u]:
-            nd = d + (1 if unit else cost)
+            nd = d + cost
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))

@@ -335,6 +335,10 @@ def test_optimal_plan_preconditions(path3):
     const = explicit_family([make_curve(path3, ["1"])])
     with pytest.raises(ModulusError):
         optimal_plan(modulus(path3, const, 2.0, 0), const)
+    fam = connecting_family(path3, ["0"], ["2"], 2)
+    zero = ModulusResult(1.0, None, {c: 0.0 for c in fam}, 0.0, 2.0, 0, 1, True)
+    with pytest.raises(ModulusError, match="degenerate dual: total weight is zero"):
+        optimal_plan(zero, fam)
 
 
 def test_is_exceptional(path3):

@@ -1,0 +1,76 @@
+"""Every public entry point reads a vertex function through one finite rule
+and a density through one nonnegative rule, with the same messages."""
+
+import math
+
+import pytest
+
+from modcalc import (
+    CurveError,
+    admissible_check,
+    asymptotic_slope,
+    connecting_family,
+    derivation_norm_bound,
+    h_gradient_sequence,
+    hop_slope_density,
+    is_upper_gradient,
+    lipschitz_constant,
+    make_curve,
+    mcshane_extend,
+    n_gradient,
+    path_relax,
+    path_space,
+    plan_derivation,
+    ug_calculus,
+    w_certificate,
+)
+from modcalc.plans import point_mass
+
+S = path_space(3)
+FAM = connecting_family(S, S.vertices, S.vertices, 2, simple_only=True)
+WALK = make_curve(S, ["0", "1", "2"])
+PLAN = point_mass(WALK)
+RAMP = {"0": 0.0, "1": 1.0, "2": 2.0}
+ONES = {v: 1.0 for v in S.vertices}
+GRAD = n_gradient(S, RAMP, FAM, 2.0)
+
+# before, a NaN at '1' gave NaN results, ok: True, a misleading message or a
+# relaxation of the NaN as 0 (variation_measures: see test_curve.py)
+FUNCTION_READERS = {
+    "asymptotic_slope": lambda f: asymptotic_slope(S, f),
+    "hop_slope_density": lambda f: hop_slope_density(S, f, FAM),
+    "lipschitz_constant": lambda f: lipschitz_constant(S, f, S.vertices),
+    "mcshane_extend": lambda f: mcshane_extend(S, f, 1.0),
+    "plan_derivation": lambda f: plan_derivation(S, PLAN, f),
+    "derivation_norm_bound": lambda f: derivation_norm_bound(S, PLAN, f),
+    "w_certificate": lambda f: w_certificate(S, f, ONES, [PLAN]),
+    "h_gradient_sequence": lambda f: h_gradient_sequence(S, f, 2.0, FAM, gradient=GRAD),
+}
+
+DENSITY_READERS = {
+    "admissible_check": lambda r: admissible_check(S, r, FAM),
+    "is_upper_gradient": lambda r: is_upper_gradient(S, RAMP, r, FAM),
+    "ug_calculus.rho_f": lambda r: ug_calculus(S, RAMP, RAMP, r, ONES, abs, FAM),
+    "ug_calculus.rho_g": lambda r: ug_calculus(S, RAMP, RAMP, ONES, r, abs, FAM),
+    "ug_calculus.rho_f_alt": lambda r: ug_calculus(S, RAMP, RAMP, ONES, ONES, abs, FAM, r),
+    "w_certificate": lambda r: w_certificate(S, RAMP, r, [PLAN]),
+    "path_relax": lambda r: path_relax(S, RAMP, r, ["0"], 1.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTION_READERS)
+def test_every_function_reader_rejects_a_non_finite_f(name):
+    call = FUNCTION_READERS[name]
+    call(RAMP)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"f must be finite, got {bad} at '1'"):
+            call({"0": 0.0, "1": bad, "2": 0.0})
+
+
+@pytest.mark.parametrize("name", DENSITY_READERS)
+def test_every_density_reader_names_a_nan_or_negative_vertex(name):
+    call = DENSITY_READERS[name]
+    for bad, kind in ((math.nan, "NaN"), (-1.0, "negative")):
+        with pytest.raises(CurveError, match=f"density is {kind} at '1': .*nonnegative, got {bad}"):
+            call(dict(ONES, **{"1": bad}))
+    call(dict(ONES, **{"1": math.inf}))

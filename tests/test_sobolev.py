@@ -256,6 +256,11 @@ def test_ug_calculus_rejects_nan(path3, subpaths3):
             ug_calculus(path3, f, RAMP, rho, rho, abs, subpaths3)
         with pytest.raises(ValueError, match="g must be finite"):
             ug_calculus(path3, RAMP, f, rho, rho, abs, subpaths3)
+    # a NaN value of phi used to pass the chain rule
+    for v in ("1", "2"):
+        phi = lambda t, at=RAMP[v]: math.nan if t == at else t  # noqa: E731
+        with pytest.raises(ValueError, match=f"phi\\(f\\) must be finite, got nan at '{v}'"):
+            ug_calculus(path3, RAMP, RAMP, rho, rho, phi, subpaths3)
     # a zero factor times a +inf density is the zero density: a constant
     # phi, and f = 0 in the Leibniz rule, still pass
     inf = dict(rho, **{"1": math.inf})

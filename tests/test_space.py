@@ -35,6 +35,7 @@ from modcalc import (
 )
 from modcalc.curve import _edge_table, _hop_table
 from modcalc.families import family_from_json
+import modcalc.space as space_module
 from modcalc.space import space_to_json
 
 
@@ -268,6 +269,18 @@ def test_relaxation_never_builds_the_distance_matrix():
     s = grid_space(4, 4)
     equivalence_report(s, {v: float(i % 5) for i, v in enumerate(s.vertices)}, 2.0, max_hops=2)
     assert "_dist" not in vars(s)
+
+
+def test_equivalence_report_searches_the_relaxation_pairs_once(monkeypatch):
+    # the harness family and the three relaxation steps share one delta
+    s = grid_space(4, 4)
+    calls = []
+    search = space_module._dijkstra
+    monkeypatch.setattr(space_module, "_dijkstra", lambda *a: calls.append(a) or search(*a))
+    equivalence_report(s, {v: float(i % 5) for i, v in enumerate(s.vertices)}, 2.0, max_hops=2)
+    assert len(calls) == len(s)
+    u, v, d = s._near_pairs(s.max_edge_distance())
+    assert len(calls) == len(s) and not (u.flags.writeable or v.flags.writeable or d.flags.writeable)
 
 
 def test_curve_quantities_never_build_the_distance_matrix():
