@@ -23,12 +23,15 @@ least-squares solution through the n x n Gram matrix ``B^T B``.  For p = 1
 the program is linear and ``_pdhg`` runs a primal-dual hybrid gradient
 iteration (Chambolle & Pock, 2011).
 
-Both cores recover feasible primal points by one scale factor on the
-columns that ``G`` and the box show to be nonnegative with box ``[0, inf)``
-(all of ``x``, or ``rho``); when a run is cut too short to find one, those
-columns are raised to at least 1 and scaled instead.  Both report a
-certified relative primal-dual gap, so callers can trust ``value`` as an
-upper bound and ``dual_value`` as a lower bound of the true optimum.
+The cores only iterate: each yields candidates, a primal point and a dual
+value, and ``_solve`` certifies them.  It recovers feasible primal points
+by one scale factor on the columns that ``G`` and the box show to be
+nonnegative with box ``[0, inf)`` (all of ``x``, or ``rho``), keeps the best
+primal point and the best dual bound, and stops once their relative gap is
+within ``tol``; when a run is cut too short to find a feasible point, those
+columns of the start are raised to 1 and scaled instead.  The certified
+gap lets callers trust ``value`` as an upper bound and ``dual_value`` as a
+lower bound of the true optimum.
 
 ``G`` is stored as padded rows (``_Rows``): two k x w arrays holding each
 row's column indices and coefficients, w the widest row, padded with zero
@@ -49,6 +52,7 @@ and so always multiplied densely.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +264,8 @@ def _solve(
     tol: float,
     max_iter: int | None,
 ) -> SolveResult:
-    """Shared front end over ``u = z / col`` on the padded rows of ``G``."""
+    """Shared front end over ``u = z / col`` on the padded rows of ``G``: the
+    one place that certifies the candidates of a core, stops and reports."""
     k, n = len(idx), len(col)
     # a lower corner meeting every row is optimal (the objective grows on z >= lo)
     trivial = (np.einsum("ij,ij->i", val, lo[idx]) >= rhs).all()
@@ -286,22 +291,37 @@ def _solve(
     J = (np.bincount(idx[val < 0], minlength=n) == 0) & (lo == 0) & np.isinf(hi)
     G = _Rows(idx, val, n)
     if p == 1.0:
-        res = _pdhg(G, r, lo, hi, J, tol, 400_000 if max_iter is None else max_iter)
+        core = _pdhg(G, r, lo, hi, 400_000 if max_iter is None else max_iter)
     else:
-        res = _ascent(G, r, lo, hi, J, p, tol, 60_000 if max_iter is None else max_iter)
-    if not math.isfinite(res.value):
+        core = _ascent(G, r, lo, hi, bool(J.all()), p, 60_000 if max_iter is None else max_iter)
+    cost = np.ones(n)
+
+    def objective(z: np.ndarray) -> float:
+        # at p = 1 the linear cost that _pdhg minimizes, as its dot product
+        return float(cost @ z) if p == 1.0 else float((z**p).sum())
+
+    best_primal, best_z, best_dual, best_y = math.inf, lo, -math.inf, np.zeros(k)
+    for it, z, Gz, g, alpha, y in core:
+        zr = _recover(G, r, J, z, Gz)
+        P = math.inf if zr is None else objective(zr)
+        if P < best_primal:
+            best_primal, best_z = P, zr
+        if g > best_dual:
+            best_dual, best_y = g, alpha * y
+        if _rel_gap(best_primal, best_dual) <= tol:
+            break
+    if not math.isfinite(best_primal):
         # no feasible point surfaced (a short max_iter); force one from the
-        # returned point with every column of J raised to at least 1
-        z = np.where(J, np.maximum(res.x, 1.0), res.x)
+        # start with every column of J raised to 1
+        z = np.where(J, 1.0, lo)
         zr = _recover(G, r, J, z, G.dot(z))
         if zr is not None:
-            res.x, res.value = zr, float((zr**p).sum())
-            res.gap = _rel_gap(res.value, res.dual_value)
-    res.value *= up
-    res.dual_value *= up
-    res.x = res.x * (scale * col)
-    res.y = res.y * (up_y / row)
-    return res
+            best_primal, best_z = objective(zr), zr
+    gap = _rel_gap(best_primal, best_dual)
+    return SolveResult(
+        best_primal * up, best_z * (scale * col), best_y * (up_y / row), gap, best_dual * up,
+        it, gap <= tol,
+    )
 
 
 def _recover(G: _Rows, rhs: np.ndarray, J: np.ndarray, z: np.ndarray, Gz: np.ndarray):
@@ -328,22 +348,14 @@ def _recover(G: _Rows, rhs: np.ndarray, J: np.ndarray, z: np.ndarray, Gz: np.nda
 
 
 def _ascent(
-    G: _Rows,
-    rhs: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    J: np.ndarray,
-    p: float,
-    tol: float,
-    max_iter: int,
-) -> SolveResult:
-    """Accelerated projected dual ascent with Newton polish (p > 1)."""
+    G: _Rows, rhs: np.ndarray, lo: np.ndarray, hi: np.ndarray, cone: bool, p: float, max_iter: int
+) -> Iterator[tuple]:
+    """Accelerated projected dual ascent with Newton polish (p > 1): the
+    candidates of every iteration, then of a last polish.  ``cone`` says the
+    box is ``[0, inf)`` on every column."""
     k, n = len(rhs), G.n
     q = p / (p - 1.0)
     expo = 1.0 / (p - 1.0)
-    # with every column in J the box is [0, inf), the dual is homogeneous
-    # along rays and every multiplier can be rescaled to its best multiple
-    cone = bool(J.all())
 
     def primal_of(w: np.ndarray) -> np.ndarray:
         # argmin of  z^p - w z  over the box, componentwise
@@ -356,6 +368,16 @@ def _ascent(
         z = primal_of(w)
         S = float(y @ rhs)
         return S + float((z**p - w * z).sum()), S, z, w
+
+    def best_multiple(g: float, S: float) -> tuple[float, float]:
+        """``(g(alpha y), alpha)`` for the best multiple ``alpha`` of the ``y``
+        with ``g(y) = g`` and ``y.rhs = S``: on a cone the dual is
+        homogeneous along rays, ``g(alpha y) = alpha S + alpha^q (g - S)``."""
+        E = g - S
+        if cone and S > 0 and E < 0:
+            alpha = (S / (-q * E)) ** (p - 1.0)
+            return alpha * S + alpha**q * E, alpha
+        return g, 1.0
 
     def newton_polish(y: np.ndarray, g_now: float) -> tuple[np.ndarray, float]:
         """Newton steps on the smooth dual restricted to the active rows.
@@ -395,27 +417,6 @@ def _ascent(
                 break
         return y, g_now
 
-    best_primal = math.inf
-    best_z = lo.copy()
-    best_dual = -math.inf
-    best_y = np.zeros(k)
-
-    def certify(y: np.ndarray, g: float, S: float, z: np.ndarray, Gz: np.ndarray) -> None:
-        nonlocal best_primal, best_z, best_dual, best_y
-        zr = _recover(G, rhs, J, z, Gz)
-        if zr is not None:
-            P = float((zr**p).sum())
-            if P < best_primal:
-                best_primal, best_z = P, zr
-        alpha = 1.0
-        E = g - S
-        if cone and S > 0 and E < 0:
-            # g(alpha y) = alpha S + alpha^q E is largest at this alpha
-            alpha = (S / (-q * E)) ** (p - 1.0)
-            g = alpha * S + alpha**q * E
-        if g > best_dual:
-            best_dual, best_y = g, alpha * y
-
     y = np.zeros(k)
     yv = y.copy()
     g_y = float((lo**p).sum())  # g(0): z = lo
@@ -423,8 +424,6 @@ def _ascent(
     # largest column 1-norm
     colsum = np.bincount(G.idx.ravel(), np.abs(G.val).ravel(), n)
     step = 1.0 / max(1.0, float(colsum.max()))
-    it = 0
-    converged = False
 
     for it in range(1, max_iter + 1):
         if it % 250 == 0:
@@ -436,10 +435,7 @@ def _ascent(
                 t_mom = 1.0
         g_v, S_v, z_v, _ = dual_value(yv)
         Gz_v = G.dot(z_v)
-        certify(yv, g_v, S_v, z_v, Gz_v)
-        if _rel_gap(best_primal, best_dual) <= tol:
-            converged = True
-            break
+        yield (it, z_v, Gz_v, *best_multiple(g_v, S_v), yv)
 
         grad = rhs - Gz_v
         # backtracking ascent step from the extrapolated point
@@ -464,26 +460,18 @@ def _ascent(
         t_mom = t_new
         step *= 1.15
 
-    if not converged:
-        # final polish before reporting the best-effort certificate
-        y_pol, g_pol = newton_polish(y, g_y)
-        g_pol, S_pol, z_pol, _ = dual_value(y_pol)
-        certify(y_pol, g_pol, S_pol, z_pol, G.dot(z_pol))
-    gap = _rel_gap(best_primal, best_dual)
-    return SolveResult(best_primal, best_z, best_y, gap, best_dual, it, converged or gap <= tol)
+    # a last polish, for a caller that has not stopped by max_iter
+    y_pol, _ = newton_polish(y, g_y)
+    g_pol, S_pol, z_pol, _ = dual_value(y_pol)
+    yield (max_iter, z_pol, G.dot(z_pol), *best_multiple(g_pol, S_pol), y_pol)
 
 
 def _pdhg(
-    G: _Rows,
-    rhs: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    J: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> SolveResult:
+    G: _Rows, rhs: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_iter: int
+) -> Iterator[tuple]:
     """Primal-dual hybrid gradient on  min sum z : G z >= rhs, z in the box
-    (p = 1)."""
+    (p = 1): the candidates of the start, of every 25th iteration and of
+    ``max_iter``."""
     k, n = len(rhs), G.n
     cost = np.ones(n)
     unbounded = np.isinf(hi)
@@ -507,31 +495,11 @@ def _pdhg(
     y = np.zeros(k)
     zb = z.copy()
 
-    best_primal = math.inf
-    best_z = z.copy()
-    best_dual = dual_value(y)[0]
-    best_y = np.zeros(k)
-    it = 0
-    converged = False
-
+    yield (0, z, G.dot(z), *dual_value(y), y)
     for it in range(1, max_iter + 1):
         y = np.maximum(0.0, y + sigma * (rhs - G.dot(zb)))
         z_new = np.minimum(np.maximum(lo, z - tau * (cost - G.tdot(y))), hi)
         zb = 2.0 * z_new - z
         z = z_new
-
         if it % 25 == 0 or it == max_iter:
-            zr = _recover(G, rhs, J, z, G.dot(z))
-            if zr is not None:
-                P = float(cost @ zr)
-                if P < best_primal:
-                    best_primal, best_z = P, zr
-            D, alpha = dual_value(y)
-            if D > best_dual:
-                best_dual, best_y = D, alpha * y
-            if _rel_gap(best_primal, best_dual) <= tol:
-                converged = True
-                break
-
-    gap = _rel_gap(best_primal, best_dual)
-    return SolveResult(best_primal, best_z, best_y, gap, best_dual, it, converged)
+            yield (it, z, G.dot(z), *dual_value(y), y)

@@ -309,17 +309,19 @@ def _finite_values(
     return fv
 
 
-def _densities(space: MetricMeasureSpace, rho: Mapping[str, float]) -> np.ndarray:
-    """The one reader of a density: ``rho`` on the vertices, with values in
-    [0, +inf]; a NaN or negative value raises ``CurveError``."""
-    r = _on_vertices(space, rho)
+def _densities(
+    space: MetricMeasureSpace, rho: Mapping[str, float], at: Sequence[str] | None = None
+) -> np.ndarray:
+    """The one reader of a density: ``rho`` on the vertices ``at``, in that
+    order (default: every vertex of the space), with values in [0, +inf]; a
+    NaN or negative value raises ``CurveError``."""
+    at = space.vertices if at is None else at
+    r = np.array([float(rho[x]) for x in at])
     bad = np.flatnonzero(~(r >= 0))
     if bad.size:
         x = r[bad[0]]
         kind = "NaN" if np.isnan(x) else "negative"
-        raise CurveError(
-            f"density is {kind} at {space.vertices[bad[0]]!r}: it must be nonnegative, got {x}"
-        )
+        raise CurveError(f"density is {kind} at {at[bad[0]]!r}: it must be nonnegative, got {x}")
     return r
 
 
@@ -351,11 +353,10 @@ def path_integral(
     ``+inf`` values propagate.  The value is invariant under retiming, linear
     in ``rho`` and additive over concatenation.
     """
+    hops = _hop_lengths(space, curve)
+    r = _densities(space, rho, at=curve.vertices).tolist()
     total = 0.0
-    for u, v, d in zip(curve.vertices, curve.vertices[1:], _hop_lengths(space, curve)):
-        ru, rv = float(rho[u]), float(rho[v])
-        if not (ru >= 0 and rv >= 0):
-            raise CurveError("density must be nonnegative")
+    for ru, rv, d in zip(r, r[1:], hops):
         total += 0.5 * (ru + rv) * d
     return total
 

@@ -179,8 +179,8 @@ def ug_calculus(
     )
 
     def scaled(c: float, rho: np.ndarray) -> np.ndarray:
-        # a zero factor scales +inf to the zero density, not to NaN
-        return c * rho if c else np.zeros_like(rho)
+        # 0 * inf is the zero density in either order, not NaN
+        return np.multiply(c, rho, out=np.zeros_like(rho), where=(rho != 0) & (c != 0))
 
     worst_sum = worst(fv + gv, rf + rg)
     worst_chain = worst(phi_f, scaled(lip_phi, rf))

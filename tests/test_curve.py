@@ -116,6 +116,10 @@ def test_path_integral_examples(path3):
     for bad in (math.nan, -1.0):
         with pytest.raises(CurveError, match="nonnegative"):
             path_integral(path3, walk, {"0": math.inf, "1": 0.0, "2": bad})
+    # the message names the vertex, also on a constant curve
+    for curve in (walk, const):
+        with pytest.raises(CurveError, match="NaN at '1'"):
+            path_integral(path3, curve, {"0": 1.0, "1": math.nan, "2": 1.0})
 
 
 def test_path_integral_reparam_invariance():

@@ -225,6 +225,19 @@ def test_ug_calculus_rules(path3, subpaths3):
         ug_calculus(path3, f, g, zero, rho_g, lambda t: t, subpaths3)
 
 
+def test_ug_calculus_with_an_infinite_lipschitz_constant():
+    # values of f a subnormal apart make Lip(phi) overflow to inf; the chain
+    # density is then 0 where rho_f is 0 (0 * inf = 0), with no NaN and no
+    # numpy warning
+    s = path_space(4)
+    fam = connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)
+    f = {"0": 0.0, "1": 0.0, "2": 5e-324, "3": 1.0}
+    rho = hop_slope_density(s, f, fam)
+    assert rho["0"] == 0.0
+    report = ug_calculus(s, f, f, rho, rho, lambda t: 0.0 if t == 0 else 1.0, fam)
+    assert report["chain"]["ok"] and report["chain"]["lip_phi"] == math.inf
+
+
 def test_non_finite_f_is_rejected():
     # a NaN increment used to drop its constraints: n_gradient returned
     # 3.636... with converged=True where the finite values give 4.0

@@ -54,25 +54,43 @@ def test_overflowing_scale_is_a_value_error():
         n_gradient(s, {"0": 0, "1": 1, "2": 2}, fam, 1e308)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
-def test_one_iteration_reports_a_feasible_bracket(p):
-    # one iteration cannot converge; the result must still be a feasible
-    # point with an honest bracket (this runs the final polish at p > 1 and
-    # the forced recovery of the capacity LP)
+# max_iter 30 stops _pdhg between two multiples of 25, and 260 at tol 1e-9
+# runs the p = 2 capacity solve past its first polish (at 1e-6 it converges
+# at iteration 62); the one-iteration cases keep their plain ids and tol
+@pytest.mark.parametrize(
+    "p, max_iter",
+    [
+        pytest.param(p, it, id=f"{p}" if it == 1 else f"{p}-{it}")
+        for it in (1, 30, 260)
+        for p in (1.0, 2.0)
+    ],
+)
+def test_one_iteration_reports_a_feasible_bracket(p, max_iter):
+    # a run cut short must still return a feasible point with an honest
+    # bracket (one iteration runs the final polish at p > 1 and the forced
+    # recovery of the capacity LP), and converge exactly when its gap is
+    # within tol
     s = grid_space(4, 4)
     table = _hop_table(s, list(connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)))
     A, m, n = table.matrix(0), s.measure_vector(), len(s)
-    res = solve_nonneg(table.rows(0), np.ones(len(A)), m, p, 1e-6, max_iter=1)
-    assert not res.converged and res.iterations == 1
-    assert res.value >= res.dual_value
+    tol = 1e-6 if max_iter == 1 else 1e-9
+
+    def stops_by_the_rule(res):
+        assert res.converged == (res.gap <= tol)
+        assert res.converged or res.iterations == max_iter
+        assert res.value >= res.dual_value
+        if max_iter == 1:
+            assert not res.converged and res.iterations == 1
+
+    res = solve_nonneg(table.rows(0), np.ones(len(A)), m, p, tol, max_iter=max_iter)
+    stops_by_the_rule(res)
     assert np.all(res.x >= 0) and np.all(A @ res.x >= 1.0 - 1e-12)
 
     lo, hi = np.zeros(n), np.full(n, math.inf)
     lo[0] = 1.0
-    res = solve_capacity(table.rows(0), table.start, table.end, m, p, lo, hi, 1e-6, max_iter=1)
+    res = solve_capacity(table.rows(0), table.start, table.end, m, p, lo, hi, tol, max_iter=max_iter)
     f, rho = res.x[:n], res.x[n:]
-    assert not res.converged and res.iterations == 1
-    assert res.value >= res.dual_value
+    stops_by_the_rule(res)
     assert np.all(f >= lo) and np.all(rho >= 0)
     assert np.all(A @ rho >= np.abs(f[table.end] - f[table.start]) - 1e-12)
     with pytest.raises(ValueError):
