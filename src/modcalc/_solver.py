@@ -44,9 +44,10 @@ its active block.  ``G z`` is made only where it is read: at the
 extrapolated point of each ascent iteration and for each Newton step, not
 at the trial points of the line searches, which need the dual value alone.
 Rows that fill more than ``_SPARSE_FILL`` of the columns are multiplied
-through one dense copy instead.  Callers pass either such a pair ``(idx,
-val)`` (``curve._HopTable.rows``) or a dense array, which is stored whole
-and so always multiplied densely.
+through one dense copy instead.  ``_Rows.block``, the one scatter of padded
+rows, makes that copy, the polish block and ``modulus.admissibility_matrix``.
+Callers pass either such a pair ``(idx, val)`` (``curve._HopTable.rows``) or
+a dense array, which is stored whole and so always multiplied densely.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class _Rows:
         self.idx, self.val, self.n = idx, val, n
         self.dense = None
         if idx.shape[1] > _SPARSE_FILL * n:
-            self.dense = self.block(np.ones(len(idx), bool), np.ones(n, bool))
+            self.dense = self.block(idx, val, np.ones(len(idx), bool), np.ones(n, bool))
 
     def dot(self, z: np.ndarray) -> np.ndarray:
         """``G @ z``."""
@@ -134,15 +135,18 @@ class _Rows:
             return np.bincount(self.idx.take(r, 0).ravel(), terms.ravel(), self.n)
         return np.bincount(self.idx.ravel(), (self.val * y[:, None]).ravel(), self.n)
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense ``G[np.ix_(rows, cols)]`` for boolean masks; every entry is
-        the stored coefficient exactly."""
-        idx, val = self.idx[rows], self.val[rows]
+    @staticmethod
+    def block(idx: np.ndarray, val: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The one densifier of padded rows ``(idx, val)``: ``G[np.ix_(rows,
+        cols)]`` for boolean masks, as floats, every entry stored exactly."""
+        idx, val = idx[rows], val[rows]
         width = int(cols.sum())
         at = np.cumsum(cols) - 1
         on = cols[idx]
         keys = (np.arange(len(idx))[:, None] * width + at[idx])[on]
-        return np.bincount(keys, val[on], len(idx) * width).reshape(len(idx), width)
+        # bincount of no keys at all returns integers
+        dense = np.bincount(keys, val[on], len(idx) * width).astype(float, copy=False)
+        return dense.reshape(len(idx), width)
 
 
 def _power_norm(G: _Rows, iters: int = 40) -> float:
@@ -395,7 +399,7 @@ def _ascent(
             free = (w > 0) & (z > lo) & (z < hi)
             if not act.any() or not free.any():
                 break
-            B = G.block(act, free)
+            B = G.block(G.idx, G.val, act, free)
             B *= np.sqrt(expo * z[free] / w[free])[None, :]
             lam, V = np.linalg.eigh(B.T @ B)
             keep = lam > lam[-1] * n * _EPS

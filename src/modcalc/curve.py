@@ -118,7 +118,7 @@ class _HopTable:
         row, padded with zero coefficients.  A row holds half of each hop
         length at u, then at v, then for ``lam = 1`` one unit at the curve's
         start and end, repeated entries summed in the order a curve-by-curve
-        loop adds them."""
+        loop adds them.  ``_solver._Rows.block`` makes them dense."""
         k, n = len(self.start), self.n
         keys = np.column_stack((self.cid * n + self.u, self.cid * n + self.v)).ravel()
         coef = np.repeat(0.5 * self.d, 2)
@@ -156,15 +156,6 @@ class _HopTable:
         return need, _HopTable(
             n, cid, self.u[hop], self.v[hop], self.d[hop], self.start[need], self.end[need]
         )
-
-    def matrix(self, lam: int) -> np.ndarray:
-        """``rows(lam)`` as a dense k x n float array; the padding adds +0.0
-        to a nonnegative coefficient, which leaves it bit for bit."""
-        idx, val = self.rows(lam)
-        keys = (np.arange(len(idx))[:, None] * self.n + idx).ravel()
-        # bincount of no keys at all returns integers
-        dense = np.bincount(keys, val.ravel(), len(idx) * self.n).astype(float, copy=False)
-        return dense.reshape(-1, self.n)
 
     def constant_speed(self, check: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Constant-speed times on [0, 1] and vertex indices of every curve as
@@ -287,10 +278,6 @@ def _edge_table(space: MetricMeasureSpace) -> _HopTable:
     return _HopTable(len(space), np.arange(len(u)), u, v, space._edge_d, u, v)
 
 
-def _on_vertices(space: MetricMeasureSpace, values: Mapping[str, float]) -> np.ndarray:
-    return np.array([float(values[x]) for x in space.vertices])
-
-
 def _finite_values(
     space: MetricMeasureSpace,
     f: Mapping[str, float],
@@ -298,11 +285,14 @@ def _finite_values(
     at: Sequence[str] | None = None,
 ) -> np.ndarray:
     """The one reader of a vertex function: ``f`` on the vertices ``at``, in
-    that order (default: every vertex of the space).  A NaN would silently
-    drop the constraints it enters (``NaN > 0`` is false), so a non-finite
-    value is an error."""
+    that order (default: every vertex of the space).  A vertex that ``f``
+    leaves out is a ``ValueError``, and so is a non-finite value: a NaN
+    would silently drop the constraints it enters (``NaN > 0`` is false)."""
     at = space.vertices if at is None else at
-    fv = np.array([float(f[x]) for x in at])
+    try:
+        fv = np.array([float(f[x]) for x in at])
+    except KeyError as exc:
+        raise ValueError(f"{name} has no value at vertex {exc.args[0]!r}") from None
     bad = np.flatnonzero(~np.isfinite(fv))
     if bad.size:
         raise ValueError(f"{name} must be finite, got {fv[bad[0]]} at {at[bad[0]]!r}")
@@ -310,18 +300,24 @@ def _finite_values(
 
 
 def _densities(
-    space: MetricMeasureSpace, rho: Mapping[str, float], at: Sequence[str] | None = None
+    space: MetricMeasureSpace,
+    rho: Mapping[str, float],
+    name: str = "density",
+    at: Sequence[str] | None = None,
 ) -> np.ndarray:
     """The one reader of a density: ``rho`` on the vertices ``at``, in that
     order (default: every vertex of the space), with values in [0, +inf]; a
-    NaN or negative value raises ``CurveError``."""
+    missing vertex or a NaN or negative value raises ``CurveError``."""
     at = space.vertices if at is None else at
-    r = np.array([float(rho[x]) for x in at])
+    try:
+        r = np.array([float(rho[x]) for x in at])
+    except KeyError as exc:
+        raise CurveError(f"{name} has no value at vertex {exc.args[0]!r}") from None
     bad = np.flatnonzero(~(r >= 0))
     if bad.size:
         x = r[bad[0]]
         kind = "NaN" if np.isnan(x) else "negative"
-        raise CurveError(f"density is {kind} at {at[bad[0]]!r}: it must be nonnegative, got {x}")
+        raise CurveError(f"{name} is {kind} at {at[bad[0]]!r}: it must be nonnegative, got {x}")
     return r
 
 
@@ -475,6 +471,11 @@ def restrict(
     return _curves(space, [curve.vertices[i : j + 1]], [times])[0]
 
 
+def _on_unit_interval(curve: DiscreteCurve) -> bool:
+    """Whether the curve's times run from 0 to 1, each end within 1e-12."""
+    return abs(curve.times[0]) <= 1e-12 and abs(curve.times[-1] - 1.0) <= 1e-12
+
+
 def q_energy(space: MetricMeasureSpace, curve: DiscreteCurve, q: float) -> float:
     """q-energy of a curve parametrized on [0, 1].
 
@@ -486,8 +487,7 @@ def q_energy(space: MetricMeasureSpace, curve: DiscreteCurve, q: float) -> float
         raise CurveError(f"q must be at least 1, got {q}")
     if curve.is_constant:
         return 0.0
-    t0, t1 = curve.domain
-    if abs(t0) > 1e-12 or abs(t1 - 1.0) > 1e-12:
+    if not _on_unit_interval(curve):
         raise CurveError("q_energy needs a curve parametrized on [0, 1]")
     hops = _hop_lengths(space, curve)
     speeds = [d / (b - a) for d, a, b in zip(hops, curve.times, curve.times[1:])]

@@ -123,7 +123,8 @@ def path_relax(
     ``delta``, not only graph edges.  Implemented as a multi-source Dijkstra
     sweep with potentials ``f`` on the sources; unreachable vertices get
     ``cap``.  Ties in the priority queue break on vertex index; with
-    nonnegative costs the values do not depend on the pop order.
+    nonnegative costs the values do not depend on the pop order.  ``f`` on
+    the sources and ``g`` are read as densities, ``+inf`` allowed.
     """
     src = sorted(space.check_subset(sources))
     if not src:
@@ -133,14 +134,12 @@ def path_relax(
     if not cap > 0:
         raise ValueError(f"cap must be positive, got {cap}")
     gv = _densities(space, g)
-    for c in src:
-        if not float(f[c]) >= 0:
-            raise ValueError(f"f must be nonnegative on the source set, got f[{c}]")
+    fs = _densities(space, f, name="f", at=src)
 
     u, v, d = space._near_pairs(delta)
     cost = 0.5 * (gv[u] + gv[v]) * d
     arcs: list[list[tuple[int, float]]] = [[] for _ in space.vertices]
     for a, b, c in zip(u.tolist(), v.tolist(), cost.tolist()):
         arcs[a].append((b, c))
-    dist = _dijkstra(arcs, {space.index[c]: float(f[c]) for c in src})
+    dist = _dijkstra(arcs, {space.index[c]: x for c, x in zip(src, fs.tolist())})
     return {x: min(cap, dist.get(i, math.inf)) for i, x in enumerate(space.vertices)}

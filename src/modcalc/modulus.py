@@ -9,7 +9,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._solver import _check_settings, solve_nonneg
+from ._solver import _Rows, _check_settings, solve_nonneg
 from .curve import DiscreteCurve, _densities, _hop_table
 from .families import CurveFamily, family_through
 from .plans import Plan
@@ -67,7 +67,8 @@ def admissibility_matrix(
     """
     _check_lam(lam)
     curves = list(family)
-    return _hop_table(space, curves).matrix(lam), curves
+    idx, val = _hop_table(space, curves).rows(lam)
+    return _Rows.block(idx, val, np.ones(len(idx), bool), np.ones(len(space), bool)), curves
 
 
 def admissible_check(

@@ -15,6 +15,7 @@ from .curve import (
     _curves_from_json,
     _finite_values,
     _hop_table,
+    _on_unit_interval,
     curve_to_json,
 )
 from .lipschitz import asymptotic_slope
@@ -58,10 +59,8 @@ class Plan:
         for curve, w in self.support:
             if not (w > 0) or not math.isfinite(w):
                 raise PlanError(f"plan weight must be positive and finite, got {w}")
-            if not curve.is_constant:
-                t0, t1 = curve.domain
-                if abs(t0) > _MASS_TOL or abs(t1 - 1.0) > _MASS_TOL:
-                    raise PlanError("plan curves must be parametrized on [0, 1]")
+            if not curve.is_constant and not _on_unit_interval(curve):
+                raise PlanError("plan curves must be parametrized on [0, 1]")
 
     @property
     def mass(self) -> float:

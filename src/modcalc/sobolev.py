@@ -10,11 +10,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._solver import _check_settings, solve_capacity, solve_nonneg
-from .curve import (
-    DiscreteCurve, _curves, _densities, _edge_table, _finite_values, _hop_table, _on_vertices
-)
+from .curve import DiscreteCurve, _curves, _densities, _edge_table, _finite_values, _hop_table
 from .families import CurveFamily, connecting_family, explicit_family
-from .lipschitz import _worst_curve, asymptotic_slope, path_relax
+from .lipschitz import _worst_curve, path_relax
 from .modulus import ModulusError, _sum_duals, optimal_plan
 from .plans import Plan, _weighted_table, barycenter
 from .space import MetricMeasureSpace, SpaceError, lp_norm
@@ -241,7 +239,7 @@ def h_gradient_sequence(
     fv = _finite_values(space, f)
     curves = list(family)
     grad = gradient or n_gradient(space, f, curves, p, tol)
-    rho = grad.rho
+    rv = _densities(space, grad.rho)
     if delta is None:
         delta = float(_hop_table(space, curves).d.max(initial=0.0)) or max(space.diameter(), 1.0)
     if cap is None:
@@ -250,25 +248,23 @@ def h_gradient_sequence(
         raise ValueError("cap must be positive; shift f to be nonnegative first")
     if sigmas is None:
         sigmas = [2.0 ** (-(n + 1)) for n in range(n_steps)]
-    trunc = {v: min(cap, max(0.0, float(f[v]))) for v in space.vertices}
+    vs = space.vertices
+    trunc = dict(zip(vs, [min(cap, max(0.0, x)) for x in fv.tolist()]))
 
     edges = _edge_table(space)
     steps: list[HStep] = []
     for n, sigma in enumerate(sigmas, start=1):
-        g_n = {v: rho[v] + sigma for v in space.vertices}
-        f_n = path_relax(space, trunc, g_n, space.vertices, delta, cap)
-        slope = asymptotic_slope(space, f_n)
-        f_err = lp_norm(space, {v: f_n[v] - float(f[v]) for v in space.vertices}, p)
-        slope_err = lp_norm(
-            space, {v: slope[v] - rho[v] for v in space.vertices}, p
-        )
-        exact = all(abs(f_n[v] - float(f[v])) <= 1e-12 for v in space.vertices)
-        gv = _on_vertices(space, g_n)
+        gv = rv + sigma
+        f_n = path_relax(space, trunc, dict(zip(vs, gv.tolist())), vs, delta, cap)
+        fnv = _finite_values(space, f_n, "f_n")
+        sv = edges.slopes(fnv)
+        f_err = lp_norm(space, dict(zip(vs, (fnv - fv).tolist())), p)
+        slope_err = lp_norm(space, dict(zip(vs, (sv - rv).tolist())), p)
+        exact = bool((np.abs(fnv - fv) <= 1e-12).all())
         limit = edges.hop_max(0.5 * (gv[edges.u] + gv[edges.v]))
-        bounded = not (_on_vertices(space, slope) > limit + 1e-12).any()
-        steps.append(
-            HStep(n, float(sigma), f_n, slope, f_err, slope_err, exact, bounded)
-        )
+        bounded = not (sv > limit + 1e-12).any()
+        slope = dict(zip(vs, sv.tolist()))
+        steps.append(HStep(n, float(sigma), f_n, slope, f_err, slope_err, exact, bounded))
     return grad, steps
 
 
@@ -371,10 +367,9 @@ def equivalence_report(
     _check_settings(p, tol, None)
     if max_hops < 1:
         raise SpaceError("max_hops must be at least 1")
-    fmin = float(_finite_values(space, f).min())
-    f0 = {v: float(f[v]) - fmin for v in space.vertices}
-    fmax = max(f0.values())
-    constant = fmax <= 0
+    fv = _finite_values(space, f)
+    f0 = dict(zip(space.vertices, (fv - fv.min()).tolist()))
+    constant = bool(fv.min() == fv.max())
     # an edgeless space has no hops to relax along, whatever delta is
     delta = space.max_edge_distance() or 1.0
     # a constant f has the zero gradient, which the empty family gives

@@ -1,5 +1,6 @@
 """Every public entry point reads a vertex function through one finite rule
-and a density through one nonnegative rule, with the same messages."""
+and a density through one nonnegative rule, with the same messages, and
+names a vertex that the mapping leaves out."""
 
 import math
 
@@ -11,6 +12,7 @@ from modcalc import (
     asymptotic_slope,
     connecting_family,
     derivation_norm_bound,
+    equivalence_report,
     h_gradient_sequence,
     hop_slope_density,
     is_upper_gradient,
@@ -18,10 +20,12 @@ from modcalc import (
     make_curve,
     mcshane_extend,
     n_gradient,
+    path_integral,
     path_relax,
     path_space,
     plan_derivation,
     ug_calculus,
+    variation_measures,
     w_certificate,
 )
 from modcalc.plans import point_mass
@@ -74,3 +78,60 @@ def test_every_density_reader_names_a_nan_or_negative_vertex(name):
         with pytest.raises(CurveError, match=f"density is {kind} at '1': .*nonnegative, got {bad}"):
             call(dict(ONES, **{"1": bad}))
     call(dict(ONES, **{"1": math.inf}))
+
+
+def _without_one(values):
+    return {v: x for v, x in values.items() if v != "1"}
+
+
+@pytest.mark.parametrize("name", [n for n in FUNCTION_READERS if n != "mcshane_extend"])
+def test_every_function_reader_names_a_missing_vertex(name):
+    # mcshane_extend is left out: its domain is the keys it is given
+    with pytest.raises(ValueError, match="f has no value at vertex '1'"):
+        FUNCTION_READERS[name](_without_one(RAMP))
+
+
+@pytest.mark.parametrize("name", DENSITY_READERS)
+def test_every_density_reader_names_a_missing_vertex(name):
+    with pytest.raises(CurveError, match="density has no value at vertex '1'"):
+        DENSITY_READERS[name](_without_one(ONES))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "f is NaN at '1': it must be nonnegative, got nan"),
+        (-1.0, "f is negative at '1': it must be nonnegative, got -1.0"),
+        (None, "f has no value at vertex '1'"),
+    ],
+)
+def test_path_relax_reads_its_source_potentials_as_densities(bad, message):
+    f = dict(RAMP, **{"1": bad}) if bad is not None else _without_one(RAMP)
+    with pytest.raises(CurveError, match=message):
+        path_relax(S, f, ONES, ["0", "1"], 1.0, 5.0)
+    # only the sources are read, and +inf passes
+    assert path_relax(S, f, ONES, ["0"], 1.0, 5.0) == {"0": 0.0, "1": 1.0, "2": 2.0}
+    assert path_relax(S, dict(RAMP, **{"1": math.inf}), ONES, ["0", "1"], 1.0, 5.0)["1"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: n_gradient(S, f, FAM, 2.0),
+        lambda f: equivalence_report(S, f, 2.0, max_hops=2),
+    ],
+    ids=["n_gradient", "equivalence_report"],
+)
+def test_gradient_entry_points_name_a_missing_vertex(call):
+    call(RAMP)
+    with pytest.raises(ValueError, match="f has no value at vertex '1'"):
+        call(_without_one(RAMP))
+
+
+def test_curve_level_readers_name_a_missing_vertex():
+    # they read only the curve's vertices
+    with pytest.raises(ValueError, match="f has no value at vertex '1'"):
+        variation_measures(S, WALK, _without_one(RAMP))
+    with pytest.raises(CurveError, match="density has no value at vertex '1'"):
+        path_integral(S, WALK, _without_one(ONES))
+    assert path_integral(S, make_curve(S, ["0"]), _without_one(ONES)) == 0.0

@@ -17,6 +17,7 @@ from modcalc import (
 )
 from modcalc._solver import solve_capacity, solve_nonneg
 from modcalc.curve import _hop_table
+from modcalc.modulus import admissibility_matrix
 
 
 def test_empty_constraint_set():
@@ -71,8 +72,9 @@ def test_one_iteration_reports_a_feasible_bracket(p, max_iter):
     # recovery of the capacity LP), and converge exactly when its gap is
     # within tol
     s = grid_space(4, 4)
-    table = _hop_table(s, list(connecting_family(s, s.vertices, s.vertices, 3, simple_only=True)))
-    A, m, n = table.matrix(0), s.measure_vector(), len(s)
+    curves = list(connecting_family(s, s.vertices, s.vertices, 3, simple_only=True))
+    table = _hop_table(s, curves)
+    A, m, n = admissibility_matrix(s, curves, 0)[0], s.measure_vector(), len(s)
     tol = 1e-6 if max_iter == 1 else 1e-9
 
     def stops_by_the_rule(res):
@@ -243,7 +245,7 @@ def _check_rows(idx, val, A, rng, monkeypatch):
         assert np.allclose(G.tdot(y), A.T @ y, rtol=1e-13, atol=0)
         for _ in range(3):
             rows, cols = rng.random(k) < 0.6, rng.random(n) < 0.7
-            assert G.block(rows, cols).tobytes() == A[np.ix_(rows, cols)].tobytes()
+            assert G.block(idx, val, rows, cols).tobytes() == A[np.ix_(rows, cols)].tobytes()
 
 
 def test_padded_rows_match_dense_matrix(monkeypatch):
@@ -257,9 +259,10 @@ def test_padded_rows_match_dense_matrix(monkeypatch):
         for lam in (0, 1):
             table = _hop_table(s, curves)
             idx, val = table.rows(lam)
-            _check_rows(idx, val, table.matrix(lam), nrng, monkeypatch)
-        table = _hop_table(s, [c for c in curves if not c.is_constant])
-        C = table.matrix(0)
+            _check_rows(idx, val, admissibility_matrix(s, curves, lam)[0], nrng, monkeypatch)
+        moving = [c for c in curves if not c.is_constant]
+        table = _hop_table(s, moving)
+        C = admissibility_matrix(s, moving, 0)[0]
         cap = _solver._capacity_rows(*table.rows(0), table.start, table.end, len(s))
         _check_rows(*cap, _dense_capacity(C, table.start, table.end), nrng, monkeypatch)
 
@@ -277,13 +280,14 @@ def test_storage_choice_keeps_certificates(monkeypatch, n, h, simple, sparse):
         fam = connecting_family(s, ["0,0"], [f"{n - 1},{n - 1}"], h)
     table = _hop_table(s, list(fam))
     idx, val = table.rows(0)
+    A = admissibility_matrix(s, fam, 0)[0]
     assert (idx.shape[1] <= _solver._SPARSE_FILL * len(s)) == sparse
     m = s.measure_vector()
     rhs = np.ones(len(idx))
     for p in (1.0, 2.0):
         # padded rows, the dense matrix (always multiplied densely), and the
         # padded rows in the storage that the fill rule did not choose
-        runs = [solve_nonneg((idx, val), rhs, m, p), solve_nonneg(table.matrix(0), rhs, m, p)]
+        runs = [solve_nonneg((idx, val), rhs, m, p), solve_nonneg(A, rhs, m, p)]
         monkeypatch.setattr(_solver, "_SPARSE_FILL", 0.0 if sparse else 1.0)
         runs.append(solve_nonneg((idx, val), rhs, m, p))
         monkeypatch.undo()
