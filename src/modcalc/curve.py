@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class CurveError(ValueError):
     """A curve violates one of the structural invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteCurve:
     """A time-stamped vertex sequence.
 
@@ -98,6 +99,11 @@ def make_curve(
     return _curves(space, [tuple(str(v) for v in vertices)], given)[0]
 
 
+# rows per block of _made_curves: a block's temporaries stay small beside
+# the curves it makes
+_MADE_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class _HopTable:
     """Hops of a list of curves, in curve order then hop order: hop ``j`` runs
@@ -151,10 +157,23 @@ class _HopTable:
         pairs, first = np.unique(key[one], return_index=True)
         need = np.bincount(self.cid, ~np.isin(key, pairs), k) > 0
         need[self.cid[one][first]] = True
-        hop = need[self.cid]
-        cid = (np.cumsum(need) - 1)[self.cid[hop]]
-        return need, _HopTable(
-            n, cid, self.u[hop], self.v[hop], self.d[hop], self.start[need], self.end[need]
+        return need, self.take(need)
+
+    def take(self, keep: np.ndarray) -> "_HopTable":
+        """The table of the curves that the boolean ``keep`` marks, in order."""
+        hop = keep[self.cid]
+        cid = (np.cumsum(keep) - 1)[self.cid[hop]]
+        return _HopTable(
+            self.n, cid, self.u[hop], self.v[hop], self.d[hop], self.start[keep], self.end[keep]
+        )
+
+    def block(self, lo: int, hi: int) -> "_HopTable":
+        """The table of the curves ``lo`` to ``hi - 1``, on views of the hop
+        arrays."""
+        a, b = np.searchsorted(self.cid, (lo, hi)).tolist()
+        return _HopTable(
+            self.n, self.cid[a:b] - lo, self.u[a:b], self.v[a:b], self.d[a:b],
+            self.start[lo:hi], self.end[lo:hi],
         )
 
     def constant_speed(self, check: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -203,25 +222,38 @@ class _HopTable:
         return np.bincount(self.cid, 0.5 * (ru + rv) * self.d, minlength=len(self.start))
 
 
-def _table(space: MetricMeasureSpace, seqs: Sequence[tuple[str, ...]]) -> _HopTable:
-    """The hop table of nonempty vertex sequences, in order."""
+def _indices(
+    space: MetricMeasureSpace, seqs: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex indices of vertex sequences, flat, and the sequence sizes;
+    an unknown vertex raises ``CurveError``."""
     idx = space.index
     sizes = np.fromiter(map(len, seqs), np.intp, len(seqs))
     try:
         flat = np.fromiter((idx[x] for s in seqs for x in s), np.intp, sizes.sum())
     except KeyError as exc:
         raise CurveError(f"unknown vertex {exc.args[0]!r}") from None
+    return flat, sizes
+
+
+def _table(space: MetricMeasureSpace, flat: np.ndarray, sizes: np.ndarray) -> _HopTable:
+    """The hop table of nonempty vertex index sequences, given flat with
+    their sizes, in order."""
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
     u, v = np.delete(flat, last), np.delete(flat, first)
-    cid = np.repeat(np.arange(len(seqs)), sizes - 1)
+    cid = np.repeat(np.arange(len(sizes)), sizes - 1)
     return _HopTable(len(space), cid, u, v, space._pair_distances(u, v), flat[first], flat[last])
 
 
-def _hop_table(space: MetricMeasureSpace, curves: Sequence[DiscreteCurve]) -> _HopTable:
+def _hop_table(space: MetricMeasureSpace, curves: Iterable[DiscreteCurve]) -> _HopTable:
     """The hop table of the curves, with their hops checked: a curve built
-    directly, or on another space, has not been through ``_curves``."""
-    return _checked_hops(space, _table(space, [c.vertices for c in curves]))
+    directly, or on another space, has not been through ``_curves``.  A
+    family enumerated on ``space`` itself keeps its checked table
+    (``CurveFamily._table``), and that table is returned."""
+    if getattr(curves, "_space", None) is space:
+        return curves._table
+    return _checked_hops(space, _table(space, *_indices(space, [c.vertices for c in curves])))
 
 
 def _checked_hops(space: MetricMeasureSpace, table: _HopTable) -> _HopTable:
@@ -259,7 +291,7 @@ def _curves(
     times = [None] * len(seqs) if times is None else times
     if any(not s or (t is not None and len(t) != len(s)) for s, t in zip(seqs, times)):
         raise CurveError("times and vertices must align and be nonempty")
-    table = _table(space, seqs)
+    table = _table(space, *_indices(space, seqs))
     _check_times([t for t in times if t is not None])
     _checked_hops(space, table)
     cs = table.constant_speed(np.fromiter((t is None for t in times), bool, len(times)))[0]
@@ -270,6 +302,40 @@ def _curves(
         DiscreteCurve(t or (0.0, *row[1 : len(s) - 1].tolist(), 1.0)[: len(s)], s)
         for row, s, t in zip(cs, seqs, times)
     ]
+
+
+def _made_curves(space: MetricMeasureSpace, table: _HopTable) -> list[DiscreteCurve]:
+    """The constant-speed curves of a checked table, in order: equal, times
+    and vertices, to the ``_curves`` of their vertex sequences.  The rows
+    go a block at a time, and within a block the curves with the same
+    number of hops go together, from columns: first the vertex tuples of
+    all curves, then their times.  So the temporaries stay small, and the
+    vertex tuples, which a caller may keep after the curves, share no
+    memory pool with the times."""
+    names = np.array(space.vertices, object)
+    out: list = [None] * len(table.start)
+    blocks = []
+    for lo in range(0, len(out), _MADE_BLOCK):
+        b = table.block(lo, lo + _MADE_BLOCK)
+        hops = np.bincount(b.cid, minlength=len(b.start))
+        blocks.append((lo, b, hops))
+        first = np.cumsum(hops) - hops
+        # the hop counts present; np.unique would import numpy.ma (about 1 MB)
+        for k in np.flatnonzero(np.bincount(hops)).tolist():
+            rows = np.flatnonzero(hops == k)
+            at = [b.u[first[rows] + j] for j in range(k)] + [b.end[rows]]
+            for i, vertices in zip((rows + lo).tolist(), zip(*(names[a].tolist() for a in at))):
+                out[i] = vertices
+    for lo, b, hops in blocks:
+        times = b.constant_speed()[0]
+        for k in np.flatnonzero(np.bincount(hops)).tolist():
+            rows = np.flatnonzero(hops == k)
+            # the ends of every curve share the objects 0.0 and 1.0, as in _curves
+            ends = repeat(0.0, len(rows)), repeat(1.0, len(rows))
+            cols = [ends[0], *times[rows, 1:k].T.tolist(), ends[1]][: k + 1]
+            for i, t in zip((rows + lo).tolist(), zip(*cols)):
+                out[i] = DiscreteCurve(t, out[i])
+    return out
 
 
 def _edge_table(space: MetricMeasureSpace) -> _HopTable:
@@ -398,8 +464,8 @@ def stieltjes(
     """Discrete Riemann-Stieltjes sum of ``a`` against the increments of ``f``.
 
     ``left`` evaluates ``a`` at the hop start, ``right`` at the hop end.
-    A zero-length hop, or a curve vertex that ``a`` or ``f`` leaves out,
-    raises ``CurveError``.
+    A zero-length hop, or a curve vertex that ``a`` or ``f`` leaves out or
+    gives a non-finite value, raises ``CurveError``.
     """
     if rule not in ("left", "right"):
         raise CurveError(f"unknown rule {rule!r}")
@@ -420,7 +486,8 @@ def ibp_identity(
     ``f1`` against ``f2``, ``T21`` the right-rule sum of ``f2`` against ``f1``
     and ``boundary = (f1 f2)(end) - (f1 f2)(start)``.  Abel summation makes
     ``boundary = T12 + T21`` hold exactly; this is the unique left/right
-    pairing with that property.
+    pairing with that property.  ``f1`` and ``f2`` are checked as
+    ``stieltjes`` checks ``a`` and ``f``.
     """
     _check_walk(curve, f1=f1, f2=f2)
     t12 = stieltjes(curve, f1, f2, "left")
@@ -434,7 +501,7 @@ def ibp_identity(
 def _check_walk(curve: DiscreteCurve, **values: Mapping[str, float]) -> None:
     """The curve checks that need no space: raise ``CurveError`` on a
     zero-length hop, or on a vertex of the curve that one of the named
-    ``values`` leaves out."""
+    ``values`` leaves out or gives a non-finite value."""
     for u, v in zip(curve.vertices, curve.vertices[1:]):
         if u == v:
             raise CurveError(f"zero-length hop at {u!r}")
@@ -442,6 +509,8 @@ def _check_walk(curve: DiscreteCurve, **values: Mapping[str, float]) -> None:
         for x in curve.vertices:
             if x not in g:
                 raise CurveError(f"{name} has no value at vertex {x!r}")
+            if not math.isfinite(float(g[x])):
+                raise CurveError(f"{name} must be finite, got {float(g[x])} at {x!r}")
 
 
 def restrict(

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .curve import (
     CurveError,
     DiscreteCurve,
-    _curves,
+    _checked_hops,
     _curves_from_json,
+    _HopTable,
+    _made_curves,
+    _table,
     curve_to_json,
 )
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
@@ -31,22 +35,68 @@ __all__ = [
 _CURVE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
 class CurveFamily:
     """A finite list of curves with a label.
 
+    An enumerated family is the checked hop table of its curves on the
+    space it was built on: its curves are made, all at once, on first read,
+    and a solve on that space reads the table instead (``curve._hop_table``).
     Duplicates are permitted; ``normalized`` deduplicates by vertex sequence
     and sorts lexicographically so enumeration order is deterministic.
     """
 
-    curves: tuple[DiscreteCurve, ...]
-    label: str = ""
+    __slots__ = ("_curves", "label", "_space", "_table")
+
+    def __init__(self, curves: Iterable[DiscreteCurve], label: str = "") -> None:
+        self._curves: tuple[DiscreteCurve, ...] | None = tuple(curves)
+        self.label = label
+        self._space: MetricMeasureSpace | None = None
+        self._table: _HopTable | None = None
+
+    @classmethod
+    def _enumerated(
+        cls, space: MetricMeasureSpace, flat: np.ndarray, sizes: np.ndarray, label: str
+    ) -> "CurveFamily":
+        """The constant-speed family of vertex index sequences, given flat
+        with their sizes.  The checks of ``_curves`` run now, on the table;
+        the curves are made on first read."""
+        table = _checked_hops(space, _table(space, flat, sizes))
+        table.constant_speed()  # raises on tied times
+        fam = cls((), label)
+        fam._curves, fam._space, fam._table = None, space, table
+        return fam
+
+    @property
+    def curves(self) -> tuple[DiscreteCurve, ...]:
+        if self._curves is None:
+            self._curves = tuple(_made_curves(self._space, self._table))
+        return self._curves
+
+    def _take(self, rows: np.ndarray) -> list[DiscreteCurve]:
+        """The curves at the increasing indices ``rows``: while the curves
+        are unread, made for those rows alone."""
+        if self._curves is not None:
+            return [self._curves[i] for i in rows]
+        keep = np.zeros(len(self), bool)
+        keep[rows] = True
+        return _made_curves(self._space, self._table.take(keep))
 
     def __iter__(self) -> Iterator[DiscreteCurve]:
         return iter(self.curves)
 
     def __len__(self) -> int:
-        return len(self.curves)
+        return len(self._table.start) if self._curves is None else len(self._curves)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curves, self.label) == (other.curves, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.curves, self.label))
+
+    def __repr__(self) -> str:
+        return f"CurveFamily(curves={self.curves!r}, label={self.label!r})"
 
     def normalized(self) -> "CurveFamily":
         seen: dict[tuple[str, ...], DiscreteCurve] = {}
@@ -56,6 +106,11 @@ class CurveFamily:
         return CurveFamily(ordered, self.label)
 
 
+def _as_family(family: CurveFamily | Iterable[DiscreteCurve]) -> CurveFamily:
+    """``family`` itself, or an unlabelled family of the curves it yields."""
+    return family if isinstance(family, CurveFamily) else CurveFamily(family)
+
+
 def _walks(
     space: MetricMeasureSpace,
     starts: Iterable[str],
@@ -63,43 +118,51 @@ def _walks(
     simple_only: bool,
     ends: frozenset[str],
     through: bool = False,
-) -> list[tuple[str, ...]]:
-    """Depth-first enumeration of edge walks in lexicographic order: starts
-    and neighbors are visited sorted by id, so every walk comes once and after
-    its prefixes.  A walk is kept when it ends in ``ends`` (meets them, when
-    ``through``): until then it does not start at or step to a vertex
-    farther (in hops) from ``ends`` than the hops it has left, so an empty
-    ``ends`` lists nothing."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-first enumeration of edge walks in lexicographic order, as
+    vertex indices, flat, and the walk sizes: starts and neighbors are
+    visited sorted by id, so every walk comes once and after its prefixes.
+    A walk is kept when it ends in ``ends`` (meets them, when ``through``):
+    until then it does not start at or step to a vertex farther (in hops)
+    from ``ends`` than the hops it has left, so an empty ``ends`` lists
+    nothing."""
     if max_hops < 1:
         raise SpaceError("max_hops must be at least 1")
-    out: list[tuple[str, ...]] = []
     idx = space.index
-    unit = [[(v, 1) for v, _ in arcs] for arcs in space._arcs]
-    hops = _dijkstra(unit, {idx[e]: 0 for e in ends})
-    to_ends = {v: hops.get(i, math.inf) for i, v in enumerate(space.vertices)}
+    goal = {idx[e] for e in ends}
+    nbrs = [[v for v, _ in arcs] for arcs in space._arcs]
+    hops = _dijkstra([[(v, 1) for v in vs] for vs in nbrs], dict.fromkeys(goal, 0))
+    to_ends = [hops.get(i, math.inf) for i in range(len(nbrs))]
+    flat: list[int] = []
+    sizes: list[int] = []
 
-    def extend(seq: list[str], met: bool) -> None:
+    def extend(seq: list[int], met: bool) -> None:
         # met is only ever set when through, and a walk ending in ends has met them
-        if len(seq) > 1 and (met or seq[-1] in ends):
-            if len(out) == _CURVE_BUDGET:
+        if len(seq) > 1 and (met or seq[-1] in goal):
+            if len(sizes) == _CURVE_BUDGET:
                 raise SpaceError(
                     f"the family has more than {_CURVE_BUDGET} curves; enumerating every "
                     "walk does not scale; constraint generation (not implemented) would avoid it"
                 )
-            out.append(tuple(seq))
+            flat.extend(seq)
+            sizes.append(len(seq))
         if len(seq) - 1 >= max_hops:
             return
-        for v, _ in space.neighbors(seq[-1]):
+        for v in nbrs[seq[-1]]:
             if (simple_only and v in seq) or (not met and to_ends[v] > max_hops - len(seq)):
                 continue
             seq.append(v)
-            extend(seq, met or (through and v in ends))
+            extend(seq, met or (through and v in goal))
             seq.pop()
 
     for s in sorted(set(starts)):
-        if to_ends[s] <= max_hops:
-            extend([s], through and s in ends)
-    return out
+        i = idx[s]
+        if to_ends[i] <= max_hops:
+            extend([i], through and i in goal)
+    # extend refers to itself: without this the cycle, and with it the
+    # lists, would live until the next garbage collection
+    del extend
+    return np.array(flat, np.intp), np.array(sizes, np.intp)
 
 
 def connecting_family(
@@ -118,9 +181,9 @@ def connecting_family(
     dst = space.check_subset(F)
     if not src or not dst:
         raise SpaceError("connecting_family needs nonempty endpoint sets")
-    seqs = _walks(space, src, max_hops, simple_only, dst)
+    flat, sizes = _walks(space, src, max_hops, simple_only, dst)
     label = f"connect({len(src)}->{len(dst)},h<={max_hops})"
-    return CurveFamily(tuple(_curves(space, seqs)), label=label)
+    return CurveFamily._enumerated(space, flat, sizes, label)
 
 
 def family_through(
@@ -129,8 +192,8 @@ def family_through(
     """All nonconstant simple paths with at most ``max_hops`` hops that
     intersect ``E``."""
     target = space.check_subset(E)
-    seqs = _walks(space, space.vertices, max_hops, True, target, True)
-    return CurveFamily(tuple(_curves(space, seqs)), label=f"through({len(target)},h<={max_hops})")
+    flat, sizes = _walks(space, space.vertices, max_hops, True, target, True)
+    return CurveFamily._enumerated(space, flat, sizes, f"through({len(target)},h<={max_hops})")
 
 
 def endpoints_in(
@@ -143,9 +206,10 @@ def endpoints_in(
     infinite-modulus branch of the admissibility convention is exercised.
     """
     anchor = space.check_subset(E)
-    seqs = _walks(space, anchor, max_hops, False, anchor)
-    curves = _curves(space, [(v,) for v in sorted(anchor)] + seqs)
-    return CurveFamily(tuple(curves), label=f"endpoints({len(anchor)},h<={max_hops})")
+    flat, sizes = _walks(space, anchor, max_hops, False, anchor)
+    consts = np.array([space.index[v] for v in sorted(anchor)], np.intp)
+    flat, sizes = np.concatenate((consts, flat)), np.concatenate((np.ones_like(consts), sizes))
+    return CurveFamily._enumerated(space, flat, sizes, f"endpoints({len(anchor)},h<={max_hops})")
 
 
 def explicit_family(curves: Iterable[DiscreteCurve], label: str = "explicit") -> CurveFamily:

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._solver import _Rows, _check_settings, solve_nonneg
 from .curve import DiscreteCurve, _densities, _hop_table
-from .families import CurveFamily, family_through
+from .families import CurveFamily, _as_family, family_through
 from .plans import Plan
 from .space import MetricMeasureSpace
 
@@ -66,9 +66,9 @@ def admissibility_matrix(
     only on the vertex sequence, never on the parametrization.
     """
     _check_lam(lam)
-    curves = list(family)
-    idx, val = _hop_table(space, curves).rows(lam)
-    return _Rows.block(idx, val, np.ones(len(idx), bool), np.ones(len(space), bool)), curves
+    family = _as_family(family)
+    idx, val = _hop_table(space, family).rows(lam)
+    return _Rows.block(idx, val, np.ones(len(idx), bool), np.ones(len(space), bool)), list(family)
 
 
 def admissible_check(
@@ -86,7 +86,7 @@ def admissible_check(
     or negative density raises ``CurveError``.
     """
     _check_lam(lam)
-    table = _hop_table(space, list(family))
+    table = _hop_table(space, family)
     r = _densities(space, rho)
     lhs = table.path_integrals(r)
     if lam == 1:
@@ -117,22 +117,21 @@ def modulus(
         _check_settings(p, tol, max_iter)
     except ValueError as exc:
         raise ModulusError(str(exc)) from None
-    label = family.label if isinstance(family, CurveFamily) else ""
-    curves = list(family)
-    idx, val = _hop_table(space, curves).rows(lam)
+    family = _as_family(family)
+    idx, val = _hop_table(space, family).rows(lam)
     if np.any(val.sum(axis=1) <= 0):
         # only lam = 0 constant curves produce empty rows: 0 >= 1 is hopeless
-        return ModulusResult(math.inf, None, {}, 0.0, p, lam, 0, True, label)
+        return ModulusResult(math.inf, None, {}, 0.0, p, lam, 0, True, family.label)
 
-    res = solve_nonneg((idx, val), np.ones(len(curves)), space.measure_vector(), p, tol, max_iter)
+    res = solve_nonneg((idx, val), np.ones(len(idx)), space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
-    duals = _sum_duals(curves, res.y)
+    duals = _sum_duals(family.curves, res.y)
     return ModulusResult(
-        res.value, rho, duals, res.gap, p, lam, res.iterations, res.converged, label
+        res.value, rho, duals, res.gap, p, lam, res.iterations, res.converged, family.label
     )
 
 
-def _sum_duals(curves: list[DiscreteCurve], y: np.ndarray) -> dict[DiscreteCurve, float]:
+def _sum_duals(curves: Sequence[DiscreteCurve], y: np.ndarray) -> dict[DiscreteCurve, float]:
     """Multiplier of every curve, summed over its repeats in the list."""
     duals: dict[DiscreteCurve, float] = {}
     for c, w in zip(curves, y.tolist()):

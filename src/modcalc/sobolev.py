@@ -11,7 +11,7 @@ import numpy as np
 
 from ._solver import _check_settings, solve_capacity, solve_nonneg
 from .curve import DiscreteCurve, _curves, _densities, _edge_table, _finite_values, _hop_table
-from .families import CurveFamily, connecting_family, explicit_family
+from .families import CurveFamily, _as_family, connecting_family, explicit_family
 from .lipschitz import _worst_curve, path_relax
 from .modulus import ModulusError, _sum_duals, optimal_plan
 from .plans import Plan, _weighted_table, barycenter
@@ -86,21 +86,20 @@ def n_gradient(
     is rejected.
     """
     _check_settings(p, tol, max_iter)
-    label = family.label if isinstance(family, CurveFamily) else ""
-    curves = list(family)
-    need, table = _hop_table(space, curves).presolve()
+    family = _as_family(family)
+    need, table = _hop_table(space, family).presolve()
     fv = _finite_values(space, f)
     rhs = np.abs(fv[table.end] - fv[table.start])
     keep = rhs > 0.0
     idx, val = table.rows(0)
     res = solve_nonneg((idx[keep], val[keep]), rhs[keep], space.measure_vector(), p, tol, max_iter)
     rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
-    duals = _sum_duals([curves[i] for i in np.flatnonzero(need)[keep]], res.y)
+    duals = _sum_duals(family._take(np.flatnonzero(need)[keep]), res.y)
     return GradientResult(
         rho,
         res.value,
         res.value ** (1.0 / p) if 0.0 < res.value < math.inf else lp_norm(space, rho, p),
-        label,
+        family.label,
         res.gap,
         "N",
         p,
@@ -121,7 +120,7 @@ def hop_slope_density(
     Hop-level domination is stable under pointwise minima, which is how the
     minimum rule for gradients is exercised at finite scale.
     """
-    table = _hop_table(space, list(family))
+    table = _hop_table(space, family)
     return dict(zip(space.vertices, table.slopes(_finite_values(space, f)).tolist()))
 
 
@@ -314,7 +313,7 @@ def capacity(
     _check_settings(p, tol, max_iter)
     target = space.check_subset(E)
     n = len(space)
-    table = _hop_table(space, list(family)).presolve()[1]
+    table = _hop_table(space, family).presolve()[1]
     lo = np.array([1.0 if v in target else 0.0 for v in space.vertices])
     hi = (
         np.ones(n)

@@ -293,10 +293,18 @@ def _dijkstra(
 
 def lp_norm(space: MetricMeasureSpace, values: Mapping[str, float], p: float) -> float:
     """Measure-weighted p-norm of a vertex function; where the powers leave
-    the float range, ``s`` times the norm of ``values / s``, ``s = max |values|``."""
+    the float range, ``s`` times the norm of ``values / s``, ``s = max |values|``.
+    A vertex that ``values`` leaves out, or a NaN, is a ``ValueError``;
+    ``+-inf`` gives ``inf``."""
     if not p >= 1:
         raise SpaceError(f"p must be at least 1, got {p}")
-    a = [abs(float(values[v])) for v in space.vertices]
+    try:
+        a = [abs(float(values[v])) for v in space.vertices]
+    except KeyError as exc:
+        raise ValueError(f"values has no value at vertex {exc.args[0]!r}") from None
+    for v, x in zip(space.vertices, a):
+        if math.isnan(x):
+            raise ValueError(f"values must not be NaN, got nan at {v!r}")
     top = max(a)
     if math.isinf(p):
         return top

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -7,13 +8,18 @@ from helpers import brute_walks, random_connected_space, random_disconnected_spa
 from modcalc import (
     MetricMeasureSpace,
     SpaceError,
+    admissible_check,
+    capacity,
     connecting_family,
     endpoints_in,
+    explicit_family,
     family_through,
     grid_space,
+    modulus,
+    n_gradient,
     path_space,
 )
-from modcalc.curve import make_curve, validate_curve
+from modcalc.curve import _curves, _hop_table, make_curve, validate_curve
 from modcalc.families import _CURVE_BUDGET, family_from_json, family_to_json
 
 
@@ -130,19 +136,24 @@ def test_pruning_by_hop_distance_keeps_the_family():
     assert len(connecting_family(g, ["0,0"], ["7,7"], 14)) == math.comb(14, 7)
 
 
-def test_family_through_prunes_walks_out_of_reach(monkeypatch):
+def test_family_through_prunes_walks_out_of_reach():
     # a walk that has not met E yet only steps where E stays within the hops
-    # it has left; listing every simple path of the grid called neighbors
-    # 43968 times here
+    # it has left; listing every simple path of the grid took 43968 steps
+    # here.  A step is a call of the depth-first search's extend.
     g = grid_space(12, 12)
     calls = []
-    neighbors = MetricMeasureSpace.neighbors
-    monkeypatch.setattr(
-        MetricMeasureSpace, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v)
-    )
-    fam = family_through(g, ["0,0"], 6)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "extend":
+            calls.append(frame)
+
+    sys.setprofile(count)
+    try:
+        fam = family_through(g, ["0,0"], 6)
+    finally:
+        sys.setprofile(None)
     assert len(fam) == 772 and all("0,0" in c.vertices for c in fam)
-    assert len(calls) < 2000
+    assert 0 < len(calls) < 2000
 
 
 def test_walk_enumeration_stops_at_the_curve_budget():
@@ -194,3 +205,109 @@ def test_family_json_round_trip():
     assert len(fam4) == 4
     fam5 = family_from_json(p, {"type": "endpoints", "E": ["0", "2"], "max_hops": 2})
     assert ("0",) in {c.vertices for c in fam5}
+
+
+def _string_walks(space, starts, max_hops, simple, keep):
+    """Every edge walk from ``starts`` with 1..max_hops hops that ``keep``
+    accepts, by a depth-first search over ``space.neighbors`` that visits
+    starts and neighbors sorted by id, without pruning."""
+    out = []
+
+    def extend(seq):
+        if len(seq) > 1 and keep(seq):
+            out.append(tuple(seq))
+        if len(seq) - 1 < max_hops:
+            for v, _ in space.neighbors(seq[-1]):
+                if not (simple and v in seq):
+                    extend(seq + [v])
+
+    for s in sorted(set(starts)):
+        extend([s])
+    return out
+
+
+def _enumeration_cases():
+    rng = random.Random(53)
+    spaces = [grid_space(3, 3), grid_space(2, 4), grid_space(4, 4), path_space(4)]
+    spaces += [random_connected_space(rng, rng.randint(3, 8), extra_edges=3) for _ in range(6)]
+    spaces += [random_disconnected_space(rng, rng.randint(3, 6), extra_edges=1) for _ in range(3)]
+    for s in spaces:
+        for hops in (1, 2, 3):
+            E = rng.sample(s.vertices, rng.randint(1, len(s)))
+            F = rng.sample(s.vertices, rng.randint(1, len(s)))
+            yield s, E, F, hops
+
+
+def test_enumeration_matches_a_string_search_through_curves():
+    # the families are built on vertex indices; their curves, vertices and
+    # times, are those of the string walks made by _curves, in order
+    for s, E, F, hops in _enumeration_cases():
+        ends, meets = set(F), lambda w: any(v in E for v in w)
+        cases = [
+            (
+                connecting_family(s, E, F, hops),
+                _string_walks(s, E, hops, False, lambda w: w[-1] in ends),
+            ),
+            (
+                connecting_family(s, E, F, hops, simple_only=True),
+                _string_walks(s, E, hops, True, lambda w: w[-1] in ends),
+            ),
+            (family_through(s, E, hops), _string_walks(s, s.vertices, hops, True, meets)),
+            (
+                endpoints_in(s, E, hops),
+                [(v,) for v in sorted(set(E))]
+                + _string_walks(s, E, hops, False, lambda w: w[-1] in E),
+            ),
+        ]
+        for fam, seqs in cases:
+            want = _curves(s, seqs)
+            assert len(fam) == len(want)
+            assert [(c.vertices, c.times) for c in fam] == [(c.vertices, c.times) for c in want]
+
+
+def _bits(result):
+    """The fields of a result, floats by their bits; the family label apart."""
+    fields = dict(vars(result))
+    fields.pop("family_label", None)
+    fields.pop("label", None)
+    return repr(sorted(fields.items(), key=lambda kv: kv[0]))
+
+
+def test_a_family_table_and_its_rebuilt_table_give_the_same_bits():
+    # an enumerated family hands the solves its own table, and makes no
+    # curve for them; the explicit family of its curves has the table
+    # rebuilt from vertex strings
+    rng = random.Random(59)
+    for s, E, F, hops in list(_enumeration_cases())[::4]:
+        f = {v: rng.uniform(-2.0, 3.0) for v in s.vertices}
+        rho = {v: rng.uniform(0.0, 1.0) for v in s.vertices}
+        for make in (
+            lambda: connecting_family(s, E, F, hops, simple_only=True),
+            lambda: connecting_family(s, s.vertices, s.vertices, hops),
+            lambda: endpoints_in(s, E, hops),
+        ):
+            explicit = explicit_family(list(make()))
+            # max_iter bounds the p = 1 capacity solves that do not reach tol
+            # soon (one here ran 400000 iterations; ROADMAP item 4): a solve
+            # stopped there has its bits too
+            for p in (1.0, 2.0):
+                calls = [
+                    lambda fm: n_gradient(s, f, fm, p, 1e-6, 2000),
+                    lambda fm: capacity(s, E[:1], fm, p, 1e-6, max_iter=2000),
+                    lambda fm: capacity(s, E[:1], fm, p, 1e-6, True, 2000),
+                    lambda fm: modulus(s, fm, p, 0, 1e-6, 2000),
+                    lambda fm: modulus(s, fm, p, 1, 1e-6, 2000),
+                ]
+                for call in calls:
+                    assert _bits(call(make())) == _bits(call(explicit))
+            fam = make()
+            for lam in (0, 1):
+                got = admissible_check(s, rho, fam, lam)
+                assert repr(got) == repr(admissible_check(s, rho, explicit, lam))
+            capacity(s, E[:1], fam, 2.0, 1e-6, max_iter=50)
+            assert fam._curves is None  # neither made a curve
+            a, b = _hop_table(s, fam), _hop_table(s, explicit)
+            assert a is fam._table and b is not _hop_table(s, explicit)
+            for name in ("cid", "u", "v", "d", "start", "end"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

@@ -15,8 +15,10 @@ from modcalc import (
     equivalence_report,
     h_gradient_sequence,
     hop_slope_density,
+    ibp_identity,
     is_upper_gradient,
     lipschitz_constant,
+    lp_norm,
     make_curve,
     mcshane_extend,
     n_gradient,
@@ -24,6 +26,7 @@ from modcalc import (
     path_relax,
     path_space,
     plan_derivation,
+    stieltjes,
     ug_calculus,
     variation_measures,
     w_certificate,
@@ -135,3 +138,32 @@ def test_curve_level_readers_name_a_missing_vertex():
     with pytest.raises(CurveError, match="density has no value at vertex '1'"):
         path_integral(S, WALK, _without_one(ONES))
     assert path_integral(S, make_curve(S, ["0"]), _without_one(ONES)) == 0.0
+
+
+@pytest.mark.parametrize("at", ["0", "2"])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_lp_norm_names_a_nan_or_missing_vertex(at, p):
+    # a NaN at '2' used to give 2.0 at p = inf (max keeps its first operand
+    # when a comparison with NaN is false), and a missing vertex a bare KeyError
+    with pytest.raises(ValueError, match=f"values must not be NaN, got nan at '{at}'"):
+        lp_norm(S, dict(RAMP, **{at: math.nan}), p)
+    with pytest.raises(ValueError, match=f"values has no value at vertex '{at}'"):
+        lp_norm(S, {v: x for v, x in RAMP.items() if v != at}, p)
+    # infinite values pass
+    assert lp_norm(S, dict(RAMP, **{at: -math.inf}), p) == math.inf
+
+
+def test_stieltjes_and_ibp_name_a_non_finite_value():
+    # they take no space, so they check the curve's vertices themselves; a
+    # NaN used to give a NaN sum, and an inf in f1 (inf, nan, 2.0)
+    calls = [
+        (lambda g: stieltjes(WALK, g, ONES), "a"),
+        (lambda g: stieltjes(WALK, ONES, g, "right"), "f"),
+        (lambda g: ibp_identity(WALK, g, RAMP), "f1"),
+        (lambda g: ibp_identity(WALK, RAMP, g), "f2"),
+    ]
+    for call, name in calls:
+        call(RAMP)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(CurveError, match=f"^{name} must be finite, got {bad} at '1'"):
+                call(dict(RAMP, **{"1": bad}))
