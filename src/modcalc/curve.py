@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def make_curve(
     return _curves(space, [tuple(str(v) for v in vertices)], given)[0]
 
 
-# rows per block of _made_curves: a block's temporaries stay small beside
-# the curves it makes
+# curves per block of _columns: a block's temporaries stay small beside
+# the curves made from it
 _MADE_BLOCK = 256
 
 
@@ -176,12 +176,11 @@ class _HopTable:
             self.start[lo:hi], self.end[lo:hi],
         )
 
-    def constant_speed(self, check: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def constant_speed(self) -> tuple[np.ndarray, np.ndarray]:
         """Constant-speed times on [0, 1] and vertex indices of every curve as
         two k x (w + 1) arrays, w >= 1, padded with the end vertex at time 1:
         running hop lengths, added in hop order, over the curve's length.
-        Raises ``CurveError`` if two times of a curve that the boolean
-        ``check`` marks (default: all) coincide."""
+        Raises ``CurveError`` if two times of a curve coincide."""
         k = len(self.start)
         hops = np.bincount(self.cid, minlength=k)
         slot = np.arange(len(self.cid)) - np.repeat(np.cumsum(hops) - hops, hops)
@@ -191,10 +190,7 @@ class _HopTable:
         total = times[:, -1:]
         times /= np.where(total > 0, total, 1.0)
         times[np.arange(times.shape[1]) >= np.maximum(hops, 1)[:, None]] = 1.0
-        tied = times[self.cid, slot + 1] <= times[self.cid, slot]
-        if check is not None:
-            tied &= check[self.cid]
-        if tied.any():
+        if (times[self.cid, slot + 1] <= times[self.cid, slot]).any():
             raise CurveError("hop lengths too disparate for a float time grid")
         at = np.repeat(self.end[:, None], times.shape[1], axis=1)
         at[self.cid, slot] = self.u
@@ -286,56 +282,54 @@ def _curves(
     times: Sequence[tuple[float, ...] | None] | None = None,
 ) -> list[DiscreteCurve]:
     """Validated curves through the vertex sequences ``seqs``, in order: at
-    the breakpoint times ``times[i]`` where given, otherwise at constant
-    speed on [0, 1].  Each check runs over all sequences before the next."""
+    the breakpoint times ``times[i]`` where given, otherwise made by
+    ``_made_curves`` on these tuples.  Each check runs over all sequences."""
     times = [None] * len(seqs) if times is None else times
     if any(not s or (t is not None and len(t) != len(s)) for s, t in zip(seqs, times)):
         raise CurveError("times and vertices must align and be nonempty")
     table = _table(space, *_indices(space, seqs))
     _check_times([t for t in times if t is not None])
     _checked_hops(space, table)
-    cs = table.constant_speed(np.fromiter((t is None for t in times), bool, len(times)))[0]
-    # row by row, and with the ends of every curve sharing the objects 0.0
-    # and 1.0, a family takes no more memory than curve-by-curve loops took;
-    # [: len(s)] leaves a constant curve (0.0,)
-    return [
-        DiscreteCurve(t or (0.0, *row[1 : len(s) - 1].tolist(), 1.0)[: len(s)], s)
-        for row, s, t in zip(cs, seqs, times)
-    ]
+    # the whole table goes before the curves are made: a lower peak
+    table = table.take(np.fromiter((t is None for t in times), bool, len(times)))
+    cs = iter(_made_curves(table, [s for s, t in zip(seqs, times) if t is None]))
+    return [next(cs) if t is None else DiscreteCurve(t, s) for s, t in zip(seqs, times)]
 
 
-def _made_curves(space: MetricMeasureSpace, table: _HopTable) -> list[DiscreteCurve]:
-    """The constant-speed curves of a checked table, in order: equal, times
-    and vertices, to the ``_curves`` of their vertex sequences.  The rows
-    go a block at a time, and within a block the curves with the same
-    number of hops go together, from columns: first the vertex tuples of
-    all curves, then their times.  So the temporaries stay small, and the
-    vertex tuples, which a caller may keep after the curves, share no
-    memory pool with the times."""
-    names = np.array(space.vertices, object)
+def _columns(table: _HopTable, cols: Callable[..., list]) -> list[tuple]:
+    """A tuple per curve of a checked table, in order, zipped from the columns
+    ``cols(times, at, k, rows)``: ``rows`` are a block's curves with ``k``
+    hops and ``(times, at)`` its ``constant_speed``, so temporaries stay small."""
     out: list = [None] * len(table.start)
-    blocks = []
     for lo in range(0, len(out), _MADE_BLOCK):
         b = table.block(lo, lo + _MADE_BLOCK)
+        times, at = b.constant_speed()
         hops = np.bincount(b.cid, minlength=len(b.start))
-        blocks.append((lo, b, hops))
-        first = np.cumsum(hops) - hops
         # the hop counts present; np.unique would import numpy.ma (about 1 MB)
         for k in np.flatnonzero(np.bincount(hops)).tolist():
             rows = np.flatnonzero(hops == k)
-            at = [b.u[first[rows] + j] for j in range(k)] + [b.end[rows]]
-            for i, vertices in zip((rows + lo).tolist(), zip(*(names[a].tolist() for a in at))):
-                out[i] = vertices
-    for lo, b, hops in blocks:
-        times = b.constant_speed()[0]
-        for k in np.flatnonzero(np.bincount(hops)).tolist():
-            rows = np.flatnonzero(hops == k)
-            # the ends of every curve share the objects 0.0 and 1.0, as in _curves
-            ends = repeat(0.0, len(rows)), repeat(1.0, len(rows))
-            cols = [ends[0], *times[rows, 1:k].T.tolist(), ends[1]][: k + 1]
-            for i, t in zip((rows + lo).tolist(), zip(*cols)):
-                out[i] = DiscreteCurve(t, out[i])
+            for i, row in zip((rows + lo).tolist(), zip(*cols(times, at, k, rows))):
+                out[i] = row
     return out
+
+
+def _vertex_tuples(space: MetricMeasureSpace, table: _HopTable) -> list[tuple[str, ...]]:
+    """The vertex names of a checked table's curves, a tuple per curve."""
+    names = np.array(space.vertices, object)
+    return _columns(table, lambda times, at, k, rows: names[at[rows, : k + 1]].T.tolist())
+
+
+def _made_curves(table: _HopTable, seqs: Sequence[tuple[str, ...]]) -> list[DiscreteCurve]:
+    """The one maker of constant-speed curves: those of a checked table, in
+    order, on its vertex tuples ``seqs``; tied times raise ``CurveError``.
+    Tuples made first, which may outlive the curves, pin no pool of times."""
+
+    def cols(times: np.ndarray, at: np.ndarray, k: int, rows: np.ndarray) -> list:
+        # the ends of every curve share 0.0 and 1.0; [: k + 1] leaves (0.0,)
+        ends = repeat(0.0, len(rows)), repeat(1.0, len(rows))
+        return [ends[0], *times[rows, 1:k].T.tolist(), ends[1]][: k + 1]
+
+    return list(map(DiscreteCurve, _columns(table, cols), seqs))
 
 
 def _edge_table(space: MetricMeasureSpace) -> _HopTable:

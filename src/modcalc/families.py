@@ -15,6 +15,7 @@ from .curve import (
     _HopTable,
     _made_curves,
     _table,
+    _vertex_tuples,
     curve_to_json,
 )
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
@@ -43,15 +44,20 @@ class CurveFamily:
     and a solve on that space reads the table instead (``curve._hop_table``).
     Duplicates are permitted; ``normalized`` deduplicates by vertex sequence
     and sorts lexicographically so enumeration order is deterministic.
+    Families are immutable; the first read of ``curves`` fills a cache.
+    Copy and pickle fill ``__dict__`` directly, as ``_set`` does.
     """
 
-    __slots__ = ("_curves", "label", "_space", "_table")
-
     def __init__(self, curves: Iterable[DiscreteCurve], label: str = "") -> None:
-        self._curves: tuple[DiscreteCurve, ...] | None = tuple(curves)
-        self.label = label
-        self._space: MetricMeasureSpace | None = None
-        self._table: _HopTable | None = None
+        self._set(_curves=tuple(curves), label=label, _space=None, _table=None)
+
+    def _set(self, **attrs: object) -> "CurveFamily":
+        self.__dict__.update(attrs)
+        return self
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"a CurveFamily is immutable: {name!r} cannot change")
+    __delattr__ = __setattr__
 
     @classmethod
     def _enumerated(
@@ -62,14 +68,13 @@ class CurveFamily:
         the curves are made on first read."""
         table = _checked_hops(space, _table(space, flat, sizes))
         table.constant_speed()  # raises on tied times
-        fam = cls((), label)
-        fam._curves, fam._space, fam._table = None, space, table
-        return fam
+        return cls((), label)._set(_curves=None, _space=space, _table=table)
 
     @property
     def curves(self) -> tuple[DiscreteCurve, ...]:
         if self._curves is None:
-            self._curves = tuple(_made_curves(self._space, self._table))
+            table = self._table
+            self._set(_curves=tuple(_made_curves(table, _vertex_tuples(self._space, table))))
         return self._curves
 
     def _take(self, rows: np.ndarray) -> list[DiscreteCurve]:
@@ -79,7 +84,8 @@ class CurveFamily:
             return [self._curves[i] for i in rows]
         keep = np.zeros(len(self), bool)
         keep[rows] = True
-        return _made_curves(self._space, self._table.take(keep))
+        table = self._table.take(keep)
+        return _made_curves(table, _vertex_tuples(self._space, table))
 
     def __iter__(self) -> Iterator[DiscreteCurve]:
         return iter(self.curves)
@@ -233,14 +239,13 @@ def family_from_json(space: MetricMeasureSpace, obj: Mapping) -> CurveFamily:
     E = _vertex_list(obj, "E")
     if kind == "connecting":
         F = _vertex_list(obj, "F")
-        fam = connecting_family(space, E, F, max_hops, _typed_field(obj, "simple", False, bool))
-    elif kind == "through":
-        fam = family_through(space, E, max_hops)
-    elif kind == "endpoints":
-        fam = endpoints_in(space, E, max_hops)
-    else:
-        raise CurveError(f"unknown family type {kind!r}")
-    return fam.normalized()
+        return connecting_family(space, E, F, max_hops, _typed_field(obj, "simple", False, bool))
+    if kind == "through":
+        return family_through(space, E, max_hops)
+    if kind == "endpoints":
+        # endpoints_in lists its constant curves first
+        return endpoints_in(space, E, max_hops).normalized()
+    raise CurveError(f"unknown family type {kind!r}")
 
 
 def _typed_field(obj: Mapping, key: str, default, kind: type):

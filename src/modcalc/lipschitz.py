@@ -4,15 +4,13 @@ upper-gradient verification and the shortest-path Lipschitz relaxation."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, TYPE_CHECKING
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .curve import DiscreteCurve, _HopTable, _densities, _edge_table, _finite_values, _hop_table
+from .families import CurveFamily, _as_family
 from .space import MetricMeasureSpace, SpaceError, _dijkstra
-
-if TYPE_CHECKING:
-    from .families import CurveFamily
 
 __all__ = [
     "asymptotic_slope",
@@ -83,7 +81,7 @@ def is_upper_gradient(
     space: MetricMeasureSpace,
     f: Mapping[str, float],
     rho: Mapping[str, float],
-    family: "CurveFamily | Iterable[DiscreteCurve]",
+    family: CurveFamily | Iterable[DiscreteCurve],
     tol: float = 1e-12,
 ) -> tuple[bool, DiscreteCurve | None]:
     """Check ``|f(end) - f(start)| <= path integral of rho`` on every curve.
@@ -92,10 +90,10 @@ def is_upper_gradient(
     check passes).  ``f`` must be finite and ``rho`` nonnegative (``+inf``
     allowed).
     """
-    curves = list(family)
-    table = _hop_table(space, curves)
+    family = _as_family(family)
+    table = _hop_table(space, family)
     i = _worst_curve(table, _finite_values(space, f), _densities(space, rho), tol)
-    return i is None, None if i is None else curves[i]
+    return i is None, None if i is None else family._take([i])[0]
 
 
 def _worst_curve(table: _HopTable, f: np.ndarray, rho: np.ndarray, tol: float) -> int | None:

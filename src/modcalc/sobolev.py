@@ -149,14 +149,14 @@ def ug_calculus(
     if ``f``, ``g`` or ``phi`` of ``f`` is not finite, or if a density is NaN
     or negative.
     """
-    curves = list(family)
-    table = _hop_table(space, curves)
+    family = _as_family(family)
+    table = _hop_table(space, family)
     fv, gv = _finite_values(space, f), _finite_values(space, g, "g")
     rf, rg = _densities(space, rho_f), _densities(space, rho_g)
 
     def worst(h: np.ndarray, rho: np.ndarray) -> DiscreteCurve | None:
         i = _worst_curve(table, h, rho, tol)
-        return None if i is None else curves[i]
+        return None if i is None else family._take([i])[0]
 
     if worst(fv, rf) is not None or worst(gv, rg) is not None:
         raise ValueError("inputs are not upper gradients on the family")
@@ -187,7 +187,7 @@ def ug_calculus(
     rho2 = table.slopes(fv) if rho_f_alt is None else _densities(space, rho_f_alt)
     rho_min = np.minimum(rf, rho2)
     j = _worst_curve(table.single_hops(), fv, rho_min, tol)
-    worst_min = None if j is None else curves[table.cid[j]]
+    worst_min = None if j is None else family._take([table.cid[j]])[0]
 
     return {
         "sum": {"ok": worst_sum is None, "worst": worst_sum},
@@ -236,11 +236,11 @@ def h_gradient_sequence(
     ``max f``, which must be positive.
     """
     fv = _finite_values(space, f)
-    curves = list(family)
-    grad = gradient or n_gradient(space, f, curves, p, tol)
+    family = _as_family(family)
+    grad = gradient or n_gradient(space, f, family, p, tol)
     rv = _densities(space, grad.rho)
     if delta is None:
-        delta = float(_hop_table(space, curves).d.max(initial=0.0)) or max(space.diameter(), 1.0)
+        delta = float(_hop_table(space, family).d.max(initial=0.0)) or max(space.diameter(), 1.0)
     if cap is None:
         cap = float(fv.max())
     if not cap > 0:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import modcalc
 from modcalc import MetricMeasureSpace, cli, grid_space, make_curve, path_space, sobolev
 from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
@@ -491,3 +495,41 @@ def test_inputs_load_through_the_module_parsers(files, capsys, monkeypatch):
     assert seen == ["build_space", "family_from_json"]
     assert run(["plan", "--space", str(p["space"]), "--plan", str(p["plan"])], capsys)[0] == 0
     assert seen[2:] == ["build_space", "plan_from_json"]
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(files):
+    # every command, run in a fresh process under two string-hash seeds: set
+    # and dict order must not reach an artifact.  One process per seed runs
+    # them all.
+    tmp, p = files
+    walks = {"type": "connecting", "E": ["0", "1"], "F": ["2"], "max_hops": 3}
+    (tmp / "walks.json").write_text(json.dumps(walks))
+    (tmp / "through.json").write_text(json.dumps({"type": "through", "E": ["1"], "max_hops": 2}))
+    common = {
+        "space-validate": [],
+        "modulus": ["--family", str(tmp / "walks.json"), "--p", "2", "--lambda", "1"],
+        "plan": ["--plan", str(p["plan"]), "--f", str(p["f"]), "--q", "2"],
+        "gradient": ["--family", str(tmp / "through.json"), "--f", str(p["f"]), "--p", "1.5"],
+        "capacity": ["--family", str(p["family"]), "--E", str(p["E"]), "--p", "2", "--truncated"],
+        "relax": ["--f", str(p["f"]), "--g", str(p["g"]), "--C", str(p["C"]),
+                  "--delta", "1.5", "--M", "9"],
+        "equivalence": ["--f", str(p["f"]), "--p", "2", "--max-hops", "2"],
+    }
+    script = (
+        "import json, sys\nfrom modcalc.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modcalc.__file__)))
+    outputs = {}
+    for seed in ("1", "2"):
+        out = tmp / f"seed{seed}"
+        out.mkdir()
+        runs = [["selftest", "--output", str(out / "selftest.json")]]
+        for cmd, args in common.items():
+            runs.append([cmd, "--space", str(p["space"]), *args, "--output", str(out / f"{cmd}.json")])
+        runs[-1] += ["--csv", str(out / "equivalence.csv")]
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, check=True, timeout=300)
+        outputs[seed] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(outputs["1"]) == 9
+    assert outputs["1"] == outputs["2"]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -6,6 +8,7 @@ import pytest
 
 from helpers import brute_walks, random_connected_space, random_disconnected_space
 from modcalc import (
+    CurveFamily,
     MetricMeasureSpace,
     SpaceError,
     admissible_check,
@@ -15,9 +18,13 @@ from modcalc import (
     explicit_family,
     family_through,
     grid_space,
+    h_gradient_sequence,
+    hop_slope_density,
+    is_upper_gradient,
     modulus,
     n_gradient,
     path_space,
+    ug_calculus,
 )
 from modcalc.curve import _curves, _hop_table, make_curve, validate_curve
 from modcalc.families import _CURVE_BUDGET, family_from_json, family_to_json
@@ -278,6 +285,7 @@ def test_a_family_table_and_its_rebuilt_table_give_the_same_bits():
     # curve for them; the explicit family of its curves has the table
     # rebuilt from vertex strings
     rng = random.Random(59)
+    reported = 0
     for s, E, F, hops in list(_enumeration_cases())[::4]:
         f = {v: rng.uniform(-2.0, 3.0) for v in s.vertices}
         rho = {v: rng.uniform(0.0, 1.0) for v in s.vertices}
@@ -305,9 +313,68 @@ def test_a_family_table_and_its_rebuilt_table_give_the_same_bits():
                 got = admissible_check(s, rho, fam, lam)
                 assert repr(got) == repr(admissible_check(s, rho, explicit, lam))
             capacity(s, E[:1], fam, 2.0, 1e-6, max_iter=50)
-            assert fam._curves is None  # neither made a curve
+            # the checks return their worst curves, made for those rows alone
+            got = is_upper_gradient(s, f, rho, fam)
+            assert got == is_upper_gradient(s, f, rho, explicit)
+            reported += got[1] is not None
+            rho_f, rho_g = hop_slope_density(s, f, fam), hop_slope_density(s, rho, fam)
+            alt = {v: 0.1 * x for v, x in rho.items()}
+            got = ug_calculus(s, f, rho, rho_f, rho_g, math.atan, fam, alt)
+            assert got == ug_calculus(s, f, rho, rho_f, rho_g, math.atan, explicit, alt)
+            reported += got["min"]["worst"] is not None
+            grad, steps = h_gradient_sequence(s, f, 2.0, fam, n_steps=2)
+            grad_x, steps_x = h_gradient_sequence(s, f, 2.0, explicit, n_steps=2)
+            assert _bits(grad) == _bits(grad_x) and repr(steps) == repr(steps_x)
+            assert fam._curves is None  # none of them made every curve
+            assert grad.family_label == fam.label
             a, b = _hop_table(s, fam), _hop_table(s, explicit)
             assert a is fam._table and b is not _hop_table(s, explicit)
             for name in ("cid", "u", "v", "d", "start", "end"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert reported > 0
+
+
+def test_json_connecting_and_through_families_keep_their_table():
+    # _walks lists them unique and sorted, so they are their own normalized()
+    for s, E, F, hops in _enumeration_cases():
+        for obj in (
+            {"type": "connecting", "E": E, "F": F, "max_hops": hops},
+            {"type": "connecting", "E": E, "F": F, "max_hops": hops, "simple": True},
+            {"type": "through", "E": E, "max_hops": hops},
+        ):
+            fam = family_from_json(s, obj)
+            assert _hop_table(s, fam) is fam._table is not None
+            assert fam == fam.normalized()
+        endpoints = family_from_json(s, {"type": "endpoints", "E": E, "max_hops": hops})
+        assert endpoints == endpoints_in(s, E, hops).normalized()
+
+
+def test_a_family_is_immutable():
+    s = grid_space(3, 3)
+    for fam in (
+        connecting_family(s, ["0,0"], ["2,2"], 4),
+        explicit_family([make_curve(s, ["0,0", "0,1"])]),
+        CurveFamily([], "x"),
+    ):
+        before = hash(fam)
+        for name in ("label", "_curves", "_space", "_table", "other"):
+            with pytest.raises(AttributeError):
+                setattr(fam, name, None)
+            with pytest.raises(AttributeError):
+                delattr(fam, name)
+        assert len(fam.curves) == len(fam) and hash(fam) == before
+        assert fam.label in ("connect(1->1,h<=4)", "explicit", "x")
+
+
+def test_a_family_copies_and_pickles_with_its_table():
+    s = grid_space(3, 3)
+    for fam in (connecting_family(s, ["0,0"], ["2,2"], 4), explicit_family([make_curve(s, ["0,0", "0,1"])])):
+        twins = copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))
+        # an enumerated family stays unread, with its table
+        state = (True, False) if fam._table is not None else (False, True)
+        assert [(x._curves is None, x._table is None) for x in (fam, *twins)] == [state] * 4
+        for twin in twins:
+            assert twin == fam and twin.label == fam.label
+            with pytest.raises(AttributeError):
+                twin.label = "y"

@@ -343,6 +343,12 @@ def test_h_sequence_exact_on_benchmark(path3, subpaths3):
     assert steps[-1].f_err == 0.0
 
 
+def test_h_sequence_gradient_carries_the_family_label(path3, subpaths3):
+    grad = h_gradient_sequence(path3, RAMP, 2.0, subpaths3, n_steps=1)[0]
+    assert grad.family_label == subpaths3.label == "connect(3->3,h<=2)"
+    assert h_gradient_sequence(path3, RAMP, 2.0, list(subpaths3), n_steps=1)[0].family_label == ""
+
+
 def test_h_sequence_zero_slack_step(path3, subpaths3):
     grad, steps = h_gradient_sequence(
         path3, RAMP, 2.0, subpaths3, sigmas=[0.0]
