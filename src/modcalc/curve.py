@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def make_curve(
     return _curves(space, [tuple(str(v) for v in vertices)], given)[0]
 
 
-# curves per block of _columns: a block's temporaries stay small beside
-# the curves made from it
+# curves per block of _vertex_tuples and _made_curves: a block's
+# temporaries stay small beside the curves made from it
 _MADE_BLOCK = 256
 
 
@@ -296,40 +296,41 @@ def _curves(
     return [next(cs) if t is None else DiscreteCurve(t, s) for s, t in zip(seqs, times)]
 
 
-def _columns(table: _HopTable, cols: Callable[..., list]) -> list[tuple]:
-    """A tuple per curve of a checked table, in order, zipped from the columns
-    ``cols(times, at, k, rows)``: ``rows`` are a block's curves with ``k``
-    hops and ``(times, at)`` its ``constant_speed``, so temporaries stay small."""
-    out: list = [None] * len(table.start)
-    for lo in range(0, len(out), _MADE_BLOCK):
-        b = table.block(lo, lo + _MADE_BLOCK)
-        times, at = b.constant_speed()
-        hops = np.bincount(b.cid, minlength=len(b.start))
-        # the hop counts present; np.unique would import numpy.ma (about 1 MB)
-        for k in np.flatnonzero(np.bincount(hops)).tolist():
-            rows = np.flatnonzero(hops == k)
-            for i, row in zip((rows + lo).tolist(), zip(*cols(times, at, k, rows))):
-                out[i] = row
-    return out
-
-
 def _vertex_tuples(space: MetricMeasureSpace, table: _HopTable) -> list[tuple[str, ...]]:
-    """The vertex names of a checked table's curves, a tuple per curve."""
+    """The vertex names of a table's curves, a tuple per curve: each hop's
+    first vertex, then the end; a block of curves at a time, so temporaries
+    stay small."""
     names = np.array(space.vertices, object)
-    return _columns(table, lambda times, at, k, rows: names[at[rows, : k + 1]].T.tolist())
+    out: list = []
+    for lo in range(0, len(table.start), _MADE_BLOCK):
+        b = table.block(lo, lo + _MADE_BLOCK)
+        hops = np.bincount(b.cid, minlength=len(b.start))
+        seq = names[np.insert(b.u, np.cumsum(hops), b.end)].tolist()
+        stop = np.cumsum(hops + 1).tolist()
+        out += [tuple(seq[i:j]) for i, j in zip([0, *stop], stop)]
+    return out
 
 
 def _made_curves(table: _HopTable, seqs: Sequence[tuple[str, ...]]) -> list[DiscreteCurve]:
     """The one maker of constant-speed curves: those of a checked table, in
     order, on its vertex tuples ``seqs``; tied times raise ``CurveError``.
-    Tuples made first, which may outlive the curves, pin no pool of times."""
-
-    def cols(times: np.ndarray, at: np.ndarray, k: int, rows: np.ndarray) -> list:
-        # the ends of every curve share 0.0 and 1.0; [: k + 1] leaves (0.0,)
-        ends = repeat(0.0, len(rows)), repeat(1.0, len(rows))
-        return [ends[0], *times[rows, 1:k].T.tolist(), ends[1]][: k + 1]
-
-    return list(map(DiscreteCurve, _columns(table, cols), seqs))
+    Times are made a block of curves at a time, so temporaries stay small,
+    and zipped from columns over the block's curves of each hop count;
+    tuples made first, which may outlive the curves, pin no pool of times."""
+    out: list = [None] * len(seqs)
+    for lo in range(0, len(out), _MADE_BLOCK):
+        b = table.block(lo, lo + _MADE_BLOCK)
+        times, _ = b.constant_speed()
+        hops = np.bincount(b.cid, minlength=len(b.start))
+        # the hop counts present; np.unique would import numpy.ma (about 1 MB)
+        for k in np.flatnonzero(np.bincount(hops)).tolist():
+            rows = np.flatnonzero(hops == k)
+            # the ends of every curve share 0.0 and 1.0; [: k + 1] leaves (0.0,)
+            ends = repeat(0.0, len(rows)), repeat(1.0, len(rows))
+            cols = [ends[0], *times[rows, 1:k].T.tolist(), ends[1]][: k + 1]
+            for i, row in zip((rows + lo).tolist(), zip(*cols)):
+                out[i] = row
+    return list(map(DiscreteCurve, out, seqs))
 
 
 def _edge_table(space: MetricMeasureSpace) -> _HopTable:

@@ -114,13 +114,11 @@ class MetricMeasureSpace:
 
     @cached_property
     def _dist(self) -> np.ndarray:
-        """The all-pairs distance matrix, built on first read; other modules
-        ask ``_pair_distances`` or ``_near_pairs`` instead."""
-        n = len(self._arcs)
-        dist = np.full((n, n), math.inf)
-        for i in range(n):
-            row = _dijkstra(self._arcs, {i: 0.0})
-            dist[i, list(row)] = list(row.values())
+        """The all-pairs distance matrix, built on first read by one
+        relaxation over every source (``_relaxed``), bit for bit the rows of
+        ``_dijkstra``; other modules ask ``_pair_distances`` or
+        ``_near_pairs`` instead."""
+        dist = _relaxed(self._arcs)
         # summation order differs per source, so enforce exact symmetry
         return np.minimum(dist, dist.T)
 
@@ -252,6 +250,62 @@ class MetricMeasureSpace:
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """One key per unordered pair of vertex indices below ``n``."""
     return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+# sources relaxed together: their distance rows and pending masks are one
+# block, so numpy's per-call cost is shared
+_SOURCE_BLOCK = 256
+# a round of a block relaxes its arcs in passes of at most n * n // 3 arcs,
+# so that a pass's three arc-sized temporaries stay near one n x n matrix,
+# but of this many at least, so that small dense spaces make few passes
+_MIN_PASS = 1 << 12
+
+
+def _relaxed(arcs: list[list[tuple[int, float]]]) -> np.ndarray:
+    """Shortest-path distances over vertex indices from every source, a row
+    per source, ``inf`` where a source does not reach; ``arcs`` is as for
+    ``_dijkstra``.  A label-correcting relaxation (Bellman, "On a routing
+    problem", 1958) on blocks of ``_SOURCE_BLOCK`` sources: each round
+    relaxes every arc out of the pending entries, in passes of a bounded
+    number of arcs, scatters the strict improvements in and marks them
+    pending, until none is.  Every value is a float sum along a path, and
+    no arc improves one at the end; float addition of a nonnegative cost is
+    monotone, so each is the least such sum, which ``_dijkstra`` returns
+    too: the rows are its rows bit for bit."""
+    n = len(arcs)
+    deg = np.fromiter(map(len, arcs), np.intp, n)
+    off = np.cumsum(deg) - deg
+    tgt = np.fromiter((v for out in arcs for v, _ in out), np.intp, deg.sum())
+    cost = np.fromiter((c for out in arcs for _, c in out), float, deg.sum())
+    # pending entries per pass; each has at most deg.max() arcs
+    step = max(n * n // 3, _MIN_PASS) // max(deg.max(initial=0), 1)
+    dist = np.full((n, n), math.inf)
+    for lo in range(0, n, _SOURCE_BLOCK):
+        flat = dist[lo : lo + _SOURCE_BLOCK].reshape(-1)  # a view
+        at = np.arange(len(flat) // n) * (n + 1) + lo  # the sources' own entries
+        flat[at] = 0.0
+        pending = np.zeros(len(flat), bool)
+        while len(at):
+            for i in range(0, len(at), step):
+                e = at[i : i + step]  # a pass's entries
+                u = e % n
+                k = deg[u]
+                # the arcs out of every entry, in arc-list order
+                arc = np.repeat(off[u] - np.cumsum(k) + k, k)
+                arc += np.arange(len(arc))
+                d = np.repeat(flat[e], k)
+                d += cost[arc]
+                to = tgt[arc]
+                del arc  # at most three arc-sized arrays live at once
+                to += np.repeat(e - u, k)  # offset by the first entry of the row
+                better = d < flat[to]
+                to = to[better]
+                np.minimum.at(flat, to, d[better])
+                pending[to] = True
+                del d, better, to
+            at = np.flatnonzero(pending)
+            pending[at] = False
+    return dist
 
 
 def _dijkstra(

@@ -12,7 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "argv",
-    [["duality_sweep.py", "--trials", "3"], ["run_equivalence.py"], ["p_dependence_probe.py"]],
+    [
+        ["duality_sweep.py", "--trials", "3"],
+        ["run_equivalence.py"],
+        ["p_dependence_probe.py"],
+        ["distance_ladder.py", "--max-grid", "6"],
+    ],
     ids=lambda argv: argv[0],
 )
 def test_script_runs(tmp_path, argv):

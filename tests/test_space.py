@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -222,6 +223,57 @@ def test_every_distance_reader_matches_the_matrix_bit_for_bit():
         table = _hop_table(s, family_from_json(s, obj).curves)
         assert table.d.tobytes() == D[table.u, table.v].tobytes()
     assert shortcut > 0  # some edge is longer than its distance
+
+
+def _heap_matrix(s: MetricMeasureSpace) -> np.ndarray:
+    """One textbook heap search per source over the edge list, symmetrised
+    by the smaller direction as the space does."""
+    n = len(s)
+    arcs = [[] for _ in range(n)]
+    for u, v, le in s.edges:
+        arcs[s.index[u]].append((s.index[v], le))
+        arcs[s.index[v]].append((s.index[u], le))
+    D = np.full((n, n), math.inf)
+    for src in range(n):
+        row = D[src]
+        row[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > row[u]:
+                continue
+            for v, le in arcs[u]:
+                if d + le < row[v]:
+                    row[v] = nd = d + le
+                    heapq.heappush(heap, (nd, v))
+    return np.minimum(D, D.T)
+
+
+def test_distance_matrix_is_the_heap_search_bit_for_bit():
+    # the matrix comes from one relaxation over blocks of sources, a round
+    # in passes of bounded arc count; any order of relaxation reaches the
+    # least float path sums a heap search returns
+    rng = random.Random(29)
+    spaces = [
+        MetricMeasureSpace(list("abcde"), [], dict.fromkeys("abcde", 1.0)),
+        MetricMeasureSpace(["a"], [], {"a": 1.0}),
+        path_space(40),
+        cycle_space(30),
+        grid_space(12, 12),
+    ]
+    for k in range(16):
+        make = (random_connected_space, random_disconnected_space)[k % 2]
+        s = make(rng, rng.randint(2, 40), extra_edges=rng.randint(0, 30))
+        length = (lambda: rng.uniform(0.1, 3.0), lambda: rng.lognormvariate(0.0, 2.0))[k // 2 % 2]
+        spaces.append(_relengthed(s, length))
+    big = random_connected_space(rng, space_module._SOURCE_BLOCK + 44, extra_edges=150)
+    spaces.append(_relengthed(big, lambda: rng.lognormvariate(0.0, 2.0)))
+    # complete: each round after the first runs in several passes
+    names = [f"k{i}" for i in range(40)]
+    pairs = [(a, b, rng.lognormvariate(0.0, 2.0)) for j, b in enumerate(names) for a in names[:j]]
+    spaces.append(MetricMeasureSpace(names, pairs, dict.fromkeys(names, 1.0)))
+    for s in spaces:
+        assert s.distance_matrix().tobytes() == _heap_matrix(s).tobytes()
 
 
 def test_gradient_and_capacity_never_build_the_distance_matrix():
