@@ -38,16 +38,16 @@ row's column indices and coefficients, w the widest row, padded with zero
 coefficients.  A path-integral row has at most hops + 1 entries, so on the
 gradient families w is a few columns out of hundreds.  The scalings, the
 column tests and the recovery read the stored entries; ``G z`` is a gather
-and a row sum, ``G^T y`` a ``bincount`` over the rows whose dual is nonzero
-(all rows when more than half are), and the Newton polish densifies only
-its active block.  ``G z`` is made only where it is read: at the
-extrapolated point of each ascent iteration and for each Newton step, not
-at the trial points of the line searches, which need the dual value alone.
-Rows that fill more than ``_SPARSE_FILL`` of the columns are multiplied
-through one dense copy instead.  ``_Rows.block``, the one scatter of padded
-rows, makes that copy, the polish block and ``modulus.admissibility_matrix``.
-Callers pass either such a pair ``(idx, val)`` (``curve._HopTable.rows``) or
-a dense array, which is stored whole and so always multiplied densely.
+and a row sum, ``G^T y`` one ``bincount`` over every stored entry, and the
+Newton polish densifies only its active block.  ``G z`` is made only where
+it is read: at the extrapolated point of each ascent iteration and for each
+Newton step, not at the trial points of the line searches, which need the
+dual value alone.  Rows that fill more than ``_SPARSE_FILL`` of the columns
+are multiplied through one dense copy instead.  ``_Rows.block``, the one
+scatter of padded rows, makes that copy, the polish block and
+``modulus.admissibility_matrix``.  Callers pass either such a pair
+``(idx, val)`` (``curve._HopTable.rows``) or a dense array, which is stored
+whole and so always multiplied densely.
 """
 
 from __future__ import annotations
@@ -123,16 +123,6 @@ class _Rows:
         """``G.T @ y``."""
         if self.dense is not None:
             return self.dense.T @ y
-        r = np.flatnonzero(y != 0)
-        if 2 * len(r) < len(y):
-            # the rows left out add only +-0 terms, and bincount adds the rest
-            # in the same order, so the sum is bit for bit the full one.  It
-            # pays where the presolve drops nothing: p 2 all-pairs modulus on
-            # the simple paths h <= 3 (two Xeon cores, whole calls) took 21
-            # against 27 ms at 12x12 lam 0, 127 against 174 ms at 20x20 lam 1;
-            # presolved gradients pay up to 16 % (10x10 p 1: 6.5 against 5.6 ms)
-            terms = self.val.take(r, 0) * y.take(r)[:, None]
-            return np.bincount(self.idx.take(r, 0).ravel(), terms.ravel(), self.n)
         return np.bincount(self.idx.ravel(), (self.val * y[:, None]).ravel(), self.n)
 
     @staticmethod

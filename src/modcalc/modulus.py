@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._solver import _Rows, _check_settings, solve_nonneg
+from ._solver import _rel_gap, _Rows, _check_settings, solve_nonneg
 from .curve import DiscreteCurve, _densities, _hop_table
 from .families import CurveFamily, _as_family, family_through
 from .plans import Plan
@@ -35,9 +35,12 @@ class ModulusResult:
     """Outcome of a modulus computation.
 
     ``value`` is a certified upper bound on the optimum and ``gap`` the
-    certified relative primal-dual gap; ``rho`` is feasible (admissible up to
-    roundoff) whenever the value is finite, and ``None`` when the admissible
-    cone is empty.  ``dual_weights`` maps curves to their multipliers.
+    certified relative primal-dual gap; ``rho`` meets every row of the
+    family (``admissible_check`` passes) whenever the value is finite, and
+    is ``None`` when the admissible cone is empty.  ``dual_weights`` maps
+    the curves of the final working set to their multipliers, summed over
+    repeats; ``modulus`` makes only those curves.  Padded with zeros on the
+    rest of the family, they stay dual-feasible for it.
     """
 
     value: float
@@ -107,10 +110,21 @@ def modulus(
     admissible densities.
 
     The empty family has modulus 0; with ``lam = 0`` a constant curve makes
-    the admissible cone empty and the value ``math.inf``.  Otherwise a
-    first-order solve returns a certified value, a feasible density and the
-    dual curve weights.  Values are exactly invariant under reparametrization
-    of the family because the constraint rows only see vertex sequences.
+    the admissible cone empty and the value ``math.inf``.  Otherwise
+    first-order solves on a working set of the family's rows return a
+    certified value, a density that meets every row of the family and the
+    dual curve weights.  The set starts from the rows of least coefficient
+    sum, the shortest curves; after each solve every row of the family is
+    checked, every violated row joins the set, and a set of more than half
+    of the rows becomes the whole family.  The set only grows, and the
+    solves end once no row outside it is violated.  Padded with zeros, the
+    set's duals stay feasible for the whole family, so ``value`` and
+    ``gap`` certify the family's modulus; ``dual_weights`` keys the curves
+    of the last set.  ``max_iter`` bounds the iterations summed over the
+    solves (``None`` leaves each solve the solver's default cap), and
+    ``iterations`` reports that sum.  Values are exactly invariant under
+    reparametrization of the family because the constraint rows only see
+    vertex sequences.
     """
     _check_lam(lam)
     try:
@@ -118,17 +132,56 @@ def modulus(
     except ValueError as exc:
         raise ModulusError(str(exc)) from None
     family = _as_family(family)
-    idx, val = _hop_table(space, family).rows(lam)
-    if np.any(val.sum(axis=1) <= 0):
+    table = _hop_table(space, family)
+    idx, val = table.rows(lam)
+    sums = val.sum(axis=1)
+    if np.any(sums <= 0):
         # only lam = 0 constant curves produce empty rows: 0 >= 1 is hopeless
         return ModulusResult(math.inf, None, {}, 0.0, p, lam, 0, True, family.label)
 
-    res = solve_nonneg((idx, val), np.ones(len(idx)), space.measure_vector(), p, tol, max_iter)
-    rho = {v: float(res.x[i]) for i, v in enumerate(space.vertices)}
-    duals = _sum_duals(family.curves, res.y)
-    return ModulusResult(
-        res.value, rho, duals, res.gap, p, lam, res.iterations, res.converged, family.label
-    )
+    def left(x: np.ndarray) -> np.ndarray:
+        # every row's left-hand side, as admissible_check sums it
+        lhs = table.path_integrals(x)
+        return lhs + x[table.start] + x[table.end] if lam == 1 else lhs
+
+    m = space.measure_vector()
+    # the working set: the rows of least coefficient sum, the shortest curves
+    sel = sums == sums.min(initial=math.inf)
+    used = 0
+    while True:
+        if 2 * sel.sum() > len(sel):
+            # a solve on most of the rows costs about as much as one on all
+            sel[:] = True
+        budget = None if max_iter is None else max_iter - used
+        res = solve_nonneg((idx[sel], val[sel]), np.ones(sel.sum()), m, p, tol, budget)
+        used += res.iterations
+        x, lhs = res.x, left(res.x)
+        new = (lhs < 1.0) & ~sel
+        if not new.any() or used == max_iter:
+            break
+        sel |= new
+    value, gap = res.value, res.gap
+    if lhs.min(initial=1) <= 0:
+        # a row the density misses takes no factor: as _solver._solve does,
+        # start over, from the constant density that meets the shortest row
+        x = np.full(len(m), 1.0 / sums.min())
+        lhs = left(x)
+    # initial 1: the empty family's bincount is an integer array, and a
+    # minimum of 1 needs no scaling
+    while (low := float(lhs.min(initial=1))) < 1.0:
+        # the one factor of _solver._recover, over the whole family; dividing
+        # by the float below low raises every positive entry, so the loop
+        # ends once rounding leaves no row short
+        x = x / np.nextafter(low, 0.0)
+        lhs = left(x)
+    if x is not res.x:
+        value = float(m @ x**p)
+        gap = _rel_gap(value, res.dual_value)
+    rho = {v: float(x[i]) for i, v in enumerate(space.vertices)}
+    # the whole family's curves are kept once made, for the next solve on it
+    curves = family.curves if sel.all() else family._take(np.flatnonzero(sel))
+    duals = _sum_duals(curves, res.y)
+    return ModulusResult(value, rho, duals, gap, p, lam, used, gap <= tol, family.label)
 
 
 def _sum_duals(curves: Sequence[DiscreteCurve], y: np.ndarray) -> dict[DiscreteCurve, float]:

@@ -6,7 +6,15 @@ import sys
 import pytest
 
 import modcalc
-from modcalc import MetricMeasureSpace, cli, grid_space, make_curve, path_space, sobolev
+from modcalc import (
+    MetricMeasureSpace,
+    cli,
+    connecting_family,
+    grid_space,
+    make_curve,
+    path_space,
+    sobolev,
+)
 from modcalc.cli import main
 from modcalc.plans import plan_to_json, point_mass
 from modcalc.space import space_to_json
@@ -89,6 +97,21 @@ def test_byte_identical_reruns(files, capsys):
     _, out1, _ = run(argv, capsys)
     _, out2, _ = run(argv, capsys)
     assert out1 == out2
+
+
+def test_modulus_artifact_lists_the_curves_solved_on(tmp_path, capsys):
+    # corner to corner on the 4x4 grid with h <= 8: 356 walks, and the duals
+    # list the 20 geodesics that modulus solves on, each once
+    grid = grid_space(4, 4)
+    space, family = tmp_path / "grid.json", tmp_path / "walks.json"
+    space.write_text(json.dumps(space_to_json(grid)))
+    family.write_text(json.dumps({"type": "connecting", "E": ["0,0"], "F": ["3,3"], "max_hops": 8}))
+    argv = ["modulus", "--space", str(space), "--family", str(family), "--p", "2", "--lambda", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and run(argv, capsys)[1] == out
+    listed = [tuple(d["vertices"]) for d in json.loads(out)["result"]["dual_weights"]]
+    walks = {c.vertices for c in connecting_family(grid, ["0,0"], ["3,3"], 8)}
+    assert len(listed) == len(set(listed)) == 20 and set(listed) <= walks
 
 
 def test_malformed_space_exits_2(files, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -22,6 +23,7 @@ from modcalc import (
     connecting_family,
     endpoints_in,
     explicit_family,
+    grid_space,
     is_exceptional,
     length,
     make_curve,
@@ -30,6 +32,8 @@ from modcalc import (
     path_integral,
     path_space,
 )
+from modcalc._solver import solve_nonneg
+from modcalc.curve import _hop_table
 from modcalc.modulus import admissibility_matrix
 
 
@@ -371,3 +375,113 @@ def test_bad_arguments(path3):
     for family in (fam, explicit_family([])):
         with pytest.raises(ModulusError, match="max_iter"):
             modulus(path3, family, 2.0, max_iter=0)
+
+
+def _working_set_battery():
+    """Grids, corner walks, random spaces and a family with duplicate
+    curves: the shapes whose first working set is the whole optimum support
+    (unit grids) and those whose set grows over rounds (random lengths)."""
+    g = grid_space(4, 4)
+    yield g, connecting_family(g, g.vertices, g.vertices, 3, simple_only=True)
+    yield g, connecting_family(g, ["0,0"], ["3,3"], 8)
+    rng = random.Random(2027)
+    for _ in range(3):
+        s = random_connected_space(rng, rng.randint(5, 7), extra_edges=3)
+        yield s, connecting_family(s, s.vertices, s.vertices, 3)
+        curves = [random_edge_walk(rng, s, 4) for _ in range(8)]
+        yield s, explicit_family(curves + curves[:3])
+
+
+def _lagrange_dual(A: np.ndarray, y: np.ndarray, m: np.ndarray, p: float) -> float:
+    """The Lagrange dual of  min sum m x^p  over  x >= 0, A x >= 1  at ``y``;
+    at p = 1, ``y`` is first shrunk into the dual cone ``A^T y <= m``."""
+    w = A.T @ y
+    if p == 1.0:
+        return min(1.0, float(np.min(m[w > 0] / w[w > 0], initial=1.0))) * float(y.sum())
+    z = (w / (p * m)) ** (1.0 / (p - 1.0))
+    return float(y.sum()) + float((m * z**p - w * z).sum())
+
+
+def test_working_set_result_certifies_the_whole_family():
+    # each result against an all-rows solve of the same family: the values
+    # bracket each other, the density meets every row, the duals are family
+    # curves, and padded with zeros they are a dual bound of the whole family
+    tol, rtol = 1e-6, 1e-12
+    for s, fam in _working_set_battery():
+        m = s.measure_vector()
+        curves = list(fam)
+        first = {}
+        for i, c in enumerate(curves):
+            first.setdefault(c, i)
+        for lam in (0, 1):
+            A, _ = admissibility_matrix(s, fam, lam)
+            for p in (1.0, 1.5, 2.0, 4.0):
+                res = modulus(s, fam, p, lam, tol)
+                ref = solve_nonneg(_hop_table(s, fam).rows(lam), np.ones(len(fam)), m, p, tol)
+                assert res.converged or not ref.converged
+                assert res.value >= ref.dual_value * (1 - rtol)
+                assert ref.value >= res.value * (1 - res.gap) * (1 - rtol)
+
+                ok, slack = admissible_check(s, res.rho, fam, lam)
+                ref_slack = admissible_check(s, dict(zip(s.vertices, ref.x)), fam, lam)[1]
+                assert ok and slack >= min(ref_slack, 0.0)
+
+                assert set(res.dual_weights) <= set(curves)
+                y = np.zeros(len(curves))
+                for c, w in res.dual_weights.items():
+                    y[first[c]] = w
+                dual = _lagrange_dual(A, y, m, p)
+                assert res.value * (1 - res.gap) * (1 - 1e-9) <= dual <= res.value * (1 + rtol)
+
+
+def _solves(monkeypatch) -> list[tuple[int, int]]:
+    """The rows and iterations of each ``solve_nonneg`` call of ``modulus``."""
+    # the package exports the function modulus under its module's name
+    mod = importlib.import_module("modcalc.modulus")
+    solves = []
+    solve = mod.solve_nonneg
+
+    def counted(A, *args):
+        res = solve(A, *args)
+        solves.append((len(A[0]), res.iterations))
+        return res
+
+    monkeypatch.setattr(mod, "solve_nonneg", counted)
+    return solves
+
+
+def test_working_set_solves_on_the_geodesics(monkeypatch):
+    # corner to corner on the 6x6 grid with h <= 12: 8172 walks, of which
+    # the 252 geodesics carry the optimum; one solve on them certifies all
+    g = grid_space(6, 6)
+    fam = connecting_family(g, ["0,0"], ["5,5"], 12)
+    assert len(fam) == 8172
+    solves = _solves(monkeypatch)
+    for lam in (0, 1):
+        solves.clear()
+        res = modulus(g, fam, 2.0, lam)
+        assert [rows for rows, _ in solves] == [252]
+        assert res.converged and len(res.dual_weights) == 252
+        assert admissible_check(g, res.rho, fam, lam)[0]
+
+
+def test_budget_bounds_the_rounds_and_the_density_stays_admissible(monkeypatch):
+    # random lengths make the first set the two orientations of the shortest
+    # edge, and its solve violates more than half of the rows, so the second
+    # solve takes them all.  A max_iter that ends the solves with rows
+    # outside the set violated (a first solve that converges on its last
+    # iteration included) leaves the result unconverged, and the density is
+    # scaled to meet every row
+    s = random_connected_space(random.Random(29), 8, extra_edges=3)
+    fam = connecting_family(s, s.vertices, s.vertices, 3)
+    solves = _solves(monkeypatch)
+    for p in (1.0, 2.0):
+        for lam in (0, 1):
+            solves.clear()
+            full = modulus(s, fam, p, lam)
+            assert full.converged and [rows for rows, _ in solves] == [2, len(fam)]
+            for max_iter in (1, 3, solves[0][1]):
+                res = modulus(s, fam, p, lam, max_iter=max_iter)
+                assert res.iterations <= max_iter and not res.converged
+                assert admissible_check(s, res.rho, fam, lam)[0]
+                assert res.value >= full.value * (1 - full.gap)

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["run_equivalence.py"],
         ["p_dependence_probe.py"],
         ["distance_ladder.py", "--max-grid", "6"],
+        ["modulus_ladder.py", "--max-grid", "5"],
     ],
     ids=lambda argv: argv[0],
 )
