@@ -244,9 +244,9 @@ def _table(space: MetricMeasureSpace, flat: np.ndarray, sizes: np.ndarray) -> _H
 
 def _hop_table(space: MetricMeasureSpace, curves: Iterable[DiscreteCurve]) -> _HopTable:
     """The hop table of the curves, with their hops checked: a curve built
-    directly, or on another space, has not been through ``_curves``.  A
-    family enumerated on ``space`` itself keeps its checked table
-    (``CurveFamily._table``), and that table is returned."""
+    directly, or on another space, has not been through ``_checked``.  A
+    family enumerated, or read from JSON, on ``space`` itself keeps its
+    checked table (``CurveFamily._table``), and that table is returned."""
     if getattr(curves, "_space", None) is space:
         return curves._table
     return _checked_hops(space, _table(space, *_indices(space, [c.vertices for c in curves])))
@@ -276,24 +276,50 @@ def _check_times(times: Sequence[tuple[float, ...]]) -> None:
         raise CurveError("breakpoint times must be strictly increasing")
 
 
+def _checked(
+    space: MetricMeasureSpace,
+    seqs: Sequence[Sequence[str]],
+    times: Sequence[tuple[float, ...] | None] | None = None,
+) -> tuple[_HopTable, list[tuple[float, ...] | None] | None]:
+    """Every check of a list of curves through the vertex sequences
+    ``seqs``, with the breakpoint times ``times[i]`` where given and constant
+    speed on [0, 1] elsewhere; each check runs over all sequences.  Returns
+    the checked hop table and the times, ``None`` where omitted (``None``
+    when no time is given)."""
+    given = [] if times is None else [(s, t) for s, t in zip(seqs, times) if t is not None]
+    if not all(seqs) or any(len(t) != len(s) for s, t in given):
+        raise CurveError("times and vertices must align and be nonempty")
+    table = _table(space, *_indices(space, seqs))
+    _check_times([t for _, t in given])
+    _checked_hops(space, table)
+    if not given:
+        times = None
+    _omitted(table, times)[1].constant_speed()  # raises on tied times
+    return table, times
+
+
 def _curves(
     space: MetricMeasureSpace,
     seqs: Sequence[tuple[str, ...]],
     times: Sequence[tuple[float, ...] | None] | None = None,
 ) -> list[DiscreteCurve]:
     """Validated curves through the vertex sequences ``seqs``, in order: at
-    the breakpoint times ``times[i]`` where given, otherwise made by
-    ``_made_curves`` on these tuples.  Each check runs over all sequences."""
-    times = [None] * len(seqs) if times is None else times
-    if any(not s or (t is not None and len(t) != len(s)) for s, t in zip(seqs, times)):
-        raise CurveError("times and vertices must align and be nonempty")
-    table = _table(space, *_indices(space, seqs))
-    _check_times([t for t in times if t is not None])
-    _checked_hops(space, table)
-    # the whole table goes before the curves are made: a lower peak
-    table = table.take(np.fromiter((t is None for t in times), bool, len(times)))
-    cs = iter(_made_curves(table, [s for s, t in zip(seqs, times) if t is None]))
-    return [next(cs) if t is None else DiscreteCurve(t, s) for s, t in zip(seqs, times)]
+    the breakpoint times ``times[i]`` where given, otherwise constant-speed
+    on [0, 1]; ``_checked`` checks them and ``_made_curves`` makes them."""
+    table, times = _checked(space, seqs, times)
+    return _made_curves(table, seqs, times)
+
+
+def _omitted(
+    table: _HopTable, times: Sequence[tuple[float, ...] | None] | None
+) -> tuple[np.ndarray, _HopTable]:
+    """The mask of the table's curves whose times are omitted, and their
+    table."""
+    k = len(table.start)
+    if times is None:
+        return np.ones(k, bool), table
+    free = np.fromiter((t is None for t in times), bool, k)
+    return free, table.take(free)
 
 
 def _vertex_tuples(space: MetricMeasureSpace, table: _HopTable) -> list[tuple[str, ...]]:
@@ -311,26 +337,52 @@ def _vertex_tuples(space: MetricMeasureSpace, table: _HopTable) -> list[tuple[st
     return out
 
 
-def _made_curves(table: _HopTable, seqs: Sequence[tuple[str, ...]]) -> list[DiscreteCurve]:
-    """The one maker of constant-speed curves: those of a checked table, in
-    order, on its vertex tuples ``seqs``; tied times raise ``CurveError``.
-    Times are made a block of curves at a time, so temporaries stay small,
-    and zipped from columns over the block's curves of each hop count;
-    tuples made first, which may outlive the curves, pin no pool of times."""
-    out: list = [None] * len(seqs)
-    for lo in range(0, len(out), _MADE_BLOCK):
+def _made_curves(
+    table: _HopTable,
+    seqs: Sequence[tuple[str, ...]],
+    times: Sequence[tuple[float, ...] | None] | None = None,
+) -> list[DiscreteCurve]:
+    """The one maker of curves: those of a checked table, in order, on its
+    vertex tuples ``seqs``, at the times ``times[i]`` where given, otherwise
+    constant-speed.  Constant-speed times are made a block of curves at a
+    time, so temporaries stay small, and zipped from columns
+    over the block's curves of each hop count; tuples made first, which may
+    outlive the curves, pin no pool of times."""
+    out: list = [None] * len(seqs) if times is None else list(times)
+    free, table = _omitted(table, times)
+    rest = np.flatnonzero(free)
+    for lo in range(0, len(rest), _MADE_BLOCK):
         b = table.block(lo, lo + _MADE_BLOCK)
-        times, _ = b.constant_speed()
+        cs, _ = b.constant_speed()
         hops = np.bincount(b.cid, minlength=len(b.start))
         # the hop counts present; np.unique would import numpy.ma (about 1 MB)
         for k in np.flatnonzero(np.bincount(hops)).tolist():
             rows = np.flatnonzero(hops == k)
             # the ends of every curve share 0.0 and 1.0; [: k + 1] leaves (0.0,)
             ends = repeat(0.0, len(rows)), repeat(1.0, len(rows))
-            cols = [ends[0], *times[rows, 1:k].T.tolist(), ends[1]][: k + 1]
-            for i, row in zip((rows + lo).tolist(), zip(*cols)):
+            cols = [ends[0], *cs[rows, 1:k].T.tolist(), ends[1]][: k + 1]
+            for i, row in zip(rest[rows + lo].tolist(), zip(*cols)):
                 out[i] = row
     return list(map(DiscreteCurve, out, seqs))
+
+
+def _breakpoint_times(
+    table: _HopTable, times: Sequence[tuple[float, ...] | None] | None
+) -> np.ndarray:
+    """The breakpoint times of a checked table's curves, flat, in order:
+    ``times[i]`` where given, otherwise the constant-speed times, which are
+    those of ``_made_curves`` bit for bit."""
+    free, part = _omitted(table, times)
+    cs, _ = part.constant_speed()
+    sizes = np.bincount(table.cid, minlength=len(free)) + 1
+    out = np.empty(int(sizes.sum()))
+    at = np.repeat(free, sizes)
+    # row by row, each curve's times up to its end
+    out[at] = cs[np.arange(cs.shape[1]) < sizes[free][:, None]]
+    if times is not None:
+        given = [x for t in times if t is not None for x in t]
+        out[~at] = np.array(given, float)
+    return out
 
 
 def _edge_table(space: MetricMeasureSpace) -> _HopTable:
@@ -569,19 +621,35 @@ def curve_to_json(curve: DiscreteCurve) -> dict:
 def curve_from_json(space: MetricMeasureSpace, obj: Mapping) -> DiscreteCurve:
     """Parse ``{"times": [...], "vertices": [...]}``; omitted times mean
     constant-speed parametrization on [0, 1]."""
-    return _curves_from_json(space, [obj])[0]
+    return _made_curves(*_curves_from_json(space, [obj]))[0]
 
 
-def _curves_from_json(space: MetricMeasureSpace, objs: Sequence[Mapping]) -> list[DiscreteCurve]:
-    """``curve_from_json`` of every object of the list ``objs``."""
+def _curves_from_json(
+    space: MetricMeasureSpace, objs: Sequence[Mapping]
+) -> tuple[_HopTable, list[tuple[str, ...]], list[tuple[float, ...] | None] | None]:
+    """The curves that ``curve_from_json`` reads from each object of the
+    list ``objs``, unmade: the checked table, the vertex tuples and the
+    times, as ``_made_curves`` takes them.  A vertex reads as ``str(v)``; a
+    time must be a JSON number."""
     if not isinstance(objs, list):
         raise CurveError(f"curve descriptions must form a list, got {type(objs).__name__}")
     try:
-        seqs = [tuple(str(v) for v in obj["vertices"]) for obj in objs]
+        seqs = [tuple(map(str, obj["vertices"])) for obj in objs]
         times = [
-            None if obj.get("times") is None else tuple(float(t) for t in obj["times"])
-            for obj in objs
+            None if t is None else tuple(_json_numbers(t, "breakpoint time"))
+            for t in (obj.get("times") for obj in objs)
         ]
     except (KeyError, TypeError) as exc:
         raise CurveError(f"malformed curve description: {exc}") from exc
-    return _curves(space, seqs, times)
+    table, times = _checked(space, seqs, times)
+    return table, seqs, times
+
+
+def _json_numbers(values: Iterable, what: str, error: type = CurveError) -> list[float]:
+    """``values`` read from JSON as floats; each must be a JSON number, so
+    ``true`` or ``"0.5"`` raises ``error``."""
+    out = list(values)
+    for x in out:
+        if type(x) not in (int, float):
+            raise error(f"{what} must be a number, got {type(x).__name__}")
+    return list(map(float, out))

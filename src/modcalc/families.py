@@ -39,8 +39,9 @@ _CURVE_BUDGET = 100_000
 class CurveFamily:
     """A finite list of curves with a label.
 
-    An enumerated family is the checked hop table of its curves on the
-    space it was built on: its curves are made, all at once, on first read,
+    An enumerated family, and an explicit family read from JSON, is the
+    checked hop table of its curves on the space it was built on, with the
+    times given in JSON: its curves are made, all at once, on first read,
     and a solve on that space reads the table instead (``curve._hop_table``).
     Duplicates are permitted; ``normalized`` deduplicates by vertex sequence
     and sorts lexicographically so enumeration order is deterministic.
@@ -49,7 +50,7 @@ class CurveFamily:
     """
 
     def __init__(self, curves: Iterable[DiscreteCurve], label: str = "") -> None:
-        self._set(_curves=tuple(curves), label=label, _space=None, _table=None)
+        self._set(_curves=tuple(curves), label=label, _space=None, _table=None, _times=None)
 
     def _set(self, **attrs: object) -> "CurveFamily":
         self.__dict__.update(attrs)
@@ -60,21 +61,33 @@ class CurveFamily:
     __delattr__ = __setattr__
 
     @classmethod
+    def _on_table(
+        cls,
+        space: MetricMeasureSpace,
+        table: _HopTable,
+        times: list[tuple[float, ...] | None] | None,
+        label: str,
+    ) -> "CurveFamily":
+        """The family of the curves of a table that ``curve._checked``
+        passed on ``space``, at ``times`` as it returned them; the curves
+        are made on first read."""
+        return cls((), label)._set(_curves=None, _space=space, _table=table, _times=times)
+
+    @classmethod
     def _enumerated(
         cls, space: MetricMeasureSpace, flat: np.ndarray, sizes: np.ndarray, label: str
     ) -> "CurveFamily":
         """The constant-speed family of vertex index sequences, given flat
-        with their sizes.  The checks of ``_curves`` run now, on the table;
-        the curves are made on first read."""
+        with their sizes.  The checks of ``_curves`` that can fail on a walk
+        run now, on the table."""
         table = _checked_hops(space, _table(space, flat, sizes))
         table.constant_speed()  # raises on tied times
-        return cls((), label)._set(_curves=None, _space=space, _table=table)
+        return cls._on_table(space, table, None, label)
 
     @property
     def curves(self) -> tuple[DiscreteCurve, ...]:
         if self._curves is None:
-            table = self._table
-            self._set(_curves=tuple(_made_curves(table, _vertex_tuples(self._space, table))))
+            self._set(_curves=tuple(self._made(self._table, self._times)))
         return self._curves
 
     def _take(self, rows: np.ndarray) -> list[DiscreteCurve]:
@@ -84,8 +97,11 @@ class CurveFamily:
             return [self._curves[i] for i in rows]
         keep = np.zeros(len(self), bool)
         keep[rows] = True
-        table = self._table.take(keep)
-        return _made_curves(table, _vertex_tuples(self._space, table))
+        times = None if self._times is None else [self._times[i] for i in rows]
+        return self._made(self._table.take(keep), times)
+
+    def _made(self, table: _HopTable, times: list | None) -> list[DiscreteCurve]:
+        return _made_curves(table, _vertex_tuples(self._space, table), times)
 
     def __iter__(self) -> Iterator[DiscreteCurve]:
         return iter(self.curves)
@@ -227,14 +243,16 @@ def family_from_json(space: MetricMeasureSpace, obj: Mapping) -> CurveFamily:
 
     Shapes: ``{"type": "connecting"|"through"|"endpoints", "E": [...],
     "F": [...], "max_hops": int, "simple": bool}`` or
-    ``{"type": "explicit", "curves": [...]}``.
+    ``{"type": "explicit", "curves": [...]}``.  An explicit family keeps the
+    checked table of its curves, as an enumerated one does.
     """
     try:
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
         raise CurveError(f"malformed family description: {exc}") from exc
     if kind == "explicit":
-        return explicit_family(_curves_from_json(space, obj.get("curves", [])))
+        table, _, times = _curves_from_json(space, obj.get("curves", []))
+        return CurveFamily._on_table(space, table, times, "explicit")
     max_hops = _typed_field(obj, "max_hops", 1, int)
     E = _vertex_list(obj, "E")
     if kind == "connecting":

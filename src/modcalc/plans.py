@@ -12,9 +12,12 @@ import numpy as np
 from .curve import (
     DiscreteCurve,
     _HopTable,
+    _breakpoint_times,
     _curves_from_json,
     _finite_values,
     _hop_table,
+    _json_numbers,
+    _made_curves,
     _on_unit_interval,
     curve_to_json,
 )
@@ -54,6 +57,12 @@ class Plan:
     """
 
     support: tuple[tuple[DiscreteCurve, float], ...]
+    # (space, hop table, weights, times) of the support, read by every
+    # diagnostic on that space: kept by plan_from_json or filled by the
+    # first diagnostic (_weighted_table); one tuple, so no reader pairs one
+    # space with another's table.  Not a field: equality, hash and repr
+    # ignore it.
+    _kept = None
 
     def __post_init__(self) -> None:
         for curve, w in self.support:
@@ -100,10 +109,21 @@ class BarycenterDensity:
         return lp_norm(space, self.values, q)
 
 
-def _weighted_table(space: MetricMeasureSpace, plan: Plan) -> tuple[_HopTable, np.ndarray]:
-    """Hop table of the support curves and their weights, in support order."""
-    table = _hop_table(space, [c for c, _ in plan.support])
-    return table, np.array([w for _, w in plan.support])
+def _weighted_table(
+    space: MetricMeasureSpace, plan: Plan
+) -> tuple[_HopTable, np.ndarray, list | None]:
+    """Hop table of the support curves, their weights and their given times
+    (``None`` where at constant speed), in support order: the plan's kept
+    ones when kept on ``space``; otherwise made now, with every curve's own
+    times, and kept if the plan keeps none."""
+    kept = plan._kept
+    if kept is None or kept[0] is not space:
+        curves = [c for c, _ in plan.support]
+        table = _hop_table(space, curves)
+        kept = (space, table, np.array([w for _, w in plan.support]), [c.times for c in curves])
+        if plan._kept is None:
+            object.__setattr__(plan, "_kept", kept)
+    return kept[1:]
 
 
 def barycenter(space: MetricMeasureSpace, plan: Plan, lam: int = 0) -> BarycenterDensity:
@@ -114,7 +134,7 @@ def barycenter(space: MetricMeasureSpace, plan: Plan, lam: int = 0) -> Barycente
     """
     if lam not in (0, 1):
         raise PlanError(f"lambda must be 0 or 1, got {lam}")
-    table, w = _weighted_table(space, plan)
+    table, w, _ = _weighted_table(space, plan)
     n = len(space)
     half = w[table.cid] * 0.5 * table.d
     acc = np.bincount(table.u, half, n) + np.bincount(table.v, half, n)
@@ -134,7 +154,7 @@ def _grid_pushforwards(
     nearest in time (ties to the earlier one)."""
     if n_grid < 1:
         raise PlanError("n_grid must be at least 1")
-    table, w = _weighted_table(space, plan)
+    table, w, _ = _weighted_table(space, plan)
     times, at = table.constant_speed()
     rows = np.arange(len(w))
     masses = np.empty((n_grid + 1, len(space)))
@@ -182,9 +202,9 @@ def energy(space: MetricMeasureSpace, plan: Plan, q: float) -> float:
     over the support for ``q = inf``."""
     if not q > 1:
         raise PlanError(f"q must lie in (1, inf], got {q}")
-    table, w = _weighted_table(space, plan)
+    table, w, times = _weighted_table(space, plan)
     # hop j runs between flat breakpoints j + cid[j] and the one after it
-    t = np.array([x for c, _ in plan.support for x in c.times])
+    t = _breakpoint_times(table, times)
     at = np.arange(len(table.cid)) + table.cid
     dt = t[at + 1] - t[at]
     speed = table.d / dt
@@ -221,7 +241,7 @@ def plan_derivation(
 
     holds exactly by telescoping.
     """
-    table, w = _weighted_table(space, plan)
+    table, w, _ = _weighted_table(space, plan)
     fv = _finite_values(space, f)
     n = len(space)
     half = w[table.cid] * 0.5 * (fv[table.v] - fv[table.u])
@@ -280,6 +300,9 @@ def restrict_plan(
 
 
 def plan_from_json(space: MetricMeasureSpace, obj: Mapping) -> Plan:
+    """Parse ``{"support": [{"curve": {...}, "w": number}, ...]}``, each
+    curve as ``curve_from_json`` reads it.  The plan keeps the checked table
+    of its support for ``space``."""
     try:
         items = obj["support"]
     except (KeyError, TypeError) as exc:
@@ -288,10 +311,14 @@ def plan_from_json(space: MetricMeasureSpace, obj: Mapping) -> Plan:
         raise PlanError(f"plan support must be a list, got {type(items).__name__}")
     try:
         curves = [item["curve"] for item in items]
-        weights = [float(item["w"]) for item in items]
+        weights = [item["w"] for item in items]
     except (KeyError, TypeError) as exc:
         raise PlanError(f"malformed plan item: {exc}") from exc
-    return Plan(tuple(zip(_curves_from_json(space, curves), weights)))
+    weights = _json_numbers(weights, "plan weight", PlanError)
+    table, seqs, times = _curves_from_json(space, curves)
+    plan = Plan(tuple(zip(_made_curves(table, seqs, times), weights)))
+    object.__setattr__(plan, "_kept", (space, table, np.array(weights), times))
+    return plan
 
 
 def plan_to_json(plan: Plan) -> dict:

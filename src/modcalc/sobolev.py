@@ -284,7 +284,7 @@ def w_certificate(
     fv, gv = _finite_values(space, f), _densities(space, g)
     per_plan: list[float] = []
     for plan in plans:
-        table, w = _weighted_table(space, plan)
+        table, w, _ = _weighted_table(space, plan)
         flux = fv[table.end] - fv[table.start] - table.path_integrals(gv)
         per_plan.append(float(w @ flux))
     return {"max_violation": max(per_plan), "per_plan": per_plan}

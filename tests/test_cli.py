@@ -446,6 +446,9 @@ MALFORMED = {
     "plan-no-w": ("plan", '{"support": [{"curve": {"vertices": ["0", "1"]}}]}'),
     "plan-item-not-object": ("plan", '{"support": [5]}'),
     "plan-support-not-list": ("plan", '{"support": {"curve": {"vertices": ["0"]}, "w": 1}}'),
+    "plan-w-bool": ("plan", '{"support": [{"curve": {"vertices": ["0", "1"]}, "w": true}]}'),
+    "plan-w-string": ("plan", '{"support": [{"curve": {"vertices": ["0", "1"]}, "w": "1"}]}'),
+    "plan-times-bool": ("plan", '{"support": [{"curve": {"vertices": ["0", "1"], "times": [false, true]}, "w": 1}]}'),
     "family-max-hops-null": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": null}'),
     "family-max-hops-float": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": 3.7}'),
     "family-max-hops-string": ("family", '{"type": "connecting", "E": ["0"], "F": ["2"], "max_hops": "x"}'),
@@ -457,6 +460,7 @@ MALFORMED = {
     "family-not-object": ("family", "[]"),
     "family-unknown-type": ("family", '{"type": "spiral"}'),
     "family-curve-no-vertices": ("family", '{"type": "explicit", "curves": [{"times": [0, 1]}]}'),
+    "family-times-string": ("family", '{"type": "explicit", "curves": [{"vertices": ["0", "1"], "times": ["0", "1"]}]}'),
     "E-not-list": ("E", '{"0": 1}'),
     "C-not-list": ("C", '"0"'),
 }

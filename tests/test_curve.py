@@ -434,7 +434,12 @@ def test_json_curves_with_and_without_times_match_reference():
             obj["times"] = [0.0] + [k / 97 for k in cuts] + [1.0]
         objs.append(obj)
         want.append(reference_curve(s, obj["vertices"], obj.get("times")))
-    assert list(family_from_json(s, {"type": "explicit", "curves": objs})) == want
+    assert any("times" in o for o in objs) and any("times" not in o for o in objs)
+    fam = family_from_json(s, {"type": "explicit", "curves": objs})
+    # a JSON family makes its curves on first read: some rows alone, then all
+    rows = list(range(0, len(objs), 7))
+    assert fam._curves is None and fam._take(rows) == [want[i] for i in rows]
+    assert fam._curves is None and list(fam) == want
     plan = plan_from_json(s, {"support": [{"curve": o, "w": 0.5} for o in objs]})
     assert [c for c, _ in plan.support] == want
 
@@ -468,6 +473,7 @@ def test_single_defect_errors_match_reference(seq, times):
         lambda: make_curve(s, seq, times),
         lambda: curve_from_json(s, obj),
         lambda: family_from_json(s, {"type": "explicit", "curves": [good, obj, good]}),
+        lambda: plan_from_json(s, {"support": [{"curve": c, "w": 1.0} for c in (good, obj, good)]}),
     ]
     for build in builds:
         with pytest.raises(CurveError) as got:
@@ -480,3 +486,21 @@ def test_given_times_skip_the_constant_speed_check():
     objs = [{"vertices": ["a", "b", "c"], "times": [0.0, 0.5, 1.0]}, {"vertices": ["c", "b", "a"]}]
     want = [reference_curve(s, o["vertices"], o.get("times")) for o in objs]
     assert list(family_from_json(s, {"type": "explicit", "curves": objs})) == want
+    plan = plan_from_json(s, {"support": [{"curve": o, "w": 0.5} for o in objs]})
+    assert [c for c, _ in plan.support] == want
+
+
+@pytest.mark.parametrize("times", [[False, True], ["0", "1"], [0.0, None]])
+def test_json_times_must_be_numbers(path3, times):
+    obj = {"vertices": ["0", "1"], "times": times}
+    builds = [
+        lambda: curve_from_json(path3, obj),
+        lambda: family_from_json(path3, {"type": "explicit", "curves": [obj]}),
+        lambda: plan_from_json(path3, {"support": [{"curve": obj, "w": 1.0}]}),
+    ]
+    for build in builds:
+        with pytest.raises(CurveError, match="breakpoint time must be a number, got"):
+            build()
+    # integers are JSON numbers, and vertex ids still read as str(v)
+    c = curve_from_json(path3, {"vertices": [0, 1, 2], "times": [0, 0.25, 1]})
+    assert c == DiscreteCurve((0.0, 0.25, 1.0), ("0", "1", "2"))

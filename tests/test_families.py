@@ -1,4 +1,5 @@
 import copy
+import importlib
 import math
 import pickle
 import random
@@ -28,6 +29,10 @@ from modcalc import (
 )
 from modcalc.curve import _curves, _hop_table, make_curve, validate_curve
 from modcalc.families import _CURVE_BUDGET, family_from_json, family_to_json
+
+# the modules themselves: the attribute modcalc.modulus is the function
+modulus_module = importlib.import_module("modcalc.modulus")
+families_module = importlib.import_module("modcalc.families")
 
 
 def triangle():
@@ -350,6 +355,64 @@ def test_json_connecting_and_through_families_keep_their_table():
         assert endpoints == endpoints_in(s, E, hops).normalized()
 
 
+def test_a_json_explicit_family_keeps_its_table(monkeypatch):
+    # it hands the solves its checked table, makes no curve for n_gradient's
+    # or capacity's solve or for admissible_check, and for modulus only the
+    # curves of its last working set; every result has the bits of the
+    # explicit family of the same curves
+    made, rows = [], []
+    make, solve = families_module._made_curves, modulus_module.solve_nonneg
+    counted_make = lambda *a: made.append(len(a[1])) or make(*a)  # noqa: E731
+    counted_solve = lambda A, *a: rows.append(len(A[0])) or solve(A, *a)  # noqa: E731
+    monkeypatch.setattr(families_module, "_made_curves", counted_make)
+    monkeypatch.setattr(modulus_module, "solve_nonneg", counted_solve)
+    rng = random.Random(61)
+    partial = 0
+    for s, E, F, hops in list(_enumeration_cases())[1::4]:
+        objs = []
+        for c in connecting_family(s, E, s.vertices, hops):
+            objs.append({"vertices": list(c.vertices)})
+            if rng.random() < 0.4:
+                cuts = sorted(rng.sample(range(1, 97), len(c.vertices) - 2))
+                objs[-1]["times"] = [0.0] + [k / 97 for k in cuts] + [1.0]
+        obj = {"type": "explicit", "curves": objs}
+        explicit = explicit_family(list(family_from_json(s, obj)))
+        f = {v: rng.uniform(-2.0, 3.0) for v in s.vertices}
+        rho = {v: rng.uniform(0.0, 1.0) for v in s.vertices}
+        made.clear()  # the curves of the two families read above
+        fam = family_from_json(s, obj)
+        assert _hop_table(s, fam) is fam._table
+        for p in (1.0, 2.0):
+            assert _bits(capacity(s, E[:1], fam, p, 1e-6, max_iter=2000)) == _bits(
+                capacity(s, E[:1], explicit, p, 1e-6, max_iter=2000)
+            )
+            for lam in (0, 1):
+                got = admissible_check(s, rho, fam, lam)
+                assert repr(got) == repr(admissible_check(s, rho, explicit, lam))
+        assert fam._curves is None and made == []
+        for p in (1.0, 2.0):
+            # the curves of its kept rows, each once: the family repeats none
+            got = n_gradient(s, f, fam, p, 1e-6, 2000)
+            assert _bits(got) == _bits(n_gradient(s, f, explicit, p, 1e-6, 2000))
+            assert made == [len(got.dual_weights)] and fam._curves is None
+            made.clear()
+        for p in (1.0, 2.0):
+            for lam in (0, 1):
+                rows.clear()
+                unread = fam._curves is None
+                got = modulus(s, fam, p, lam, 1e-6, 2000)
+                assert _bits(got) == _bits(modulus(s, explicit, p, lam, 1e-6, 2000))
+                if not unread:  # a solve on the whole family made every curve
+                    assert made == []
+                elif rows[-1] < len(fam):
+                    assert made == [rows[-1]] and fam._curves is None
+                    partial += 1
+                else:
+                    assert made == [len(fam)]
+                made.clear()
+    assert partial > 0
+
+
 def test_a_family_is_immutable():
     s = grid_space(3, 3)
     for fam in (
@@ -369,9 +432,14 @@ def test_a_family_is_immutable():
 
 def test_a_family_copies_and_pickles_with_its_table():
     s = grid_space(3, 3)
-    for fam in (connecting_family(s, ["0,0"], ["2,2"], 4), explicit_family([make_curve(s, ["0,0", "0,1"])])):
+    curves = [{"vertices": ["0,0", "0,1", "1,1"], "times": [0.0, 0.25, 1.0]}, {"vertices": ["0,0", "1,0"]}]
+    for fam in (
+        connecting_family(s, ["0,0"], ["2,2"], 4),
+        explicit_family([make_curve(s, ["0,0", "0,1"])]),
+        family_from_json(s, {"type": "explicit", "curves": curves}),
+    ):
         twins = copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))
-        # an enumerated family stays unread, with its table
+        # a family on a table (enumerated or read from JSON) stays unread, with it
         state = (True, False) if fam._table is not None else (False, True)
         assert [(x._curves is None, x._table is None) for x in (fam, *twins)] == [state] * 4
         for twin in twins:

@@ -32,7 +32,9 @@ from modcalc import (
     point_mass,
     q_energy,
     restrict_plan,
+    w_certificate,
 )
+from modcalc import curve as curve_module
 from modcalc.plans import plan_from_json, plan_to_json
 
 
@@ -365,3 +367,86 @@ def test_plan_json_round_trip(path3):
     )
     plan2 = plan_from_json(path3, plan_to_json(plan))
     assert plan2 == plan
+
+
+@pytest.mark.parametrize("w", [True, "0.5", None, [1.0]])
+def test_plan_weights_must_be_numbers(path3, w):
+    obj = {"support": [{"curve": {"vertices": ["0", "1"]}, "w": w}]}
+    with pytest.raises(PlanError, match="plan weight must be a number, got"):
+        plan_from_json(path3, obj)
+    obj["support"][0]["w"] = 1  # an integer is a JSON number
+    assert plan_from_json(path3, obj).support[0][1] == 1.0
+
+
+def _mixed_plan_json(rng, s):
+    """A plan on edge walks of ``s`` as JSON, some curves with their times
+    given, some without."""
+    support = []
+    for _ in range(40):
+        c = random_edge_walk(rng, s, 5)
+        obj = {"vertices": list(c.vertices)}
+        if len(c.vertices) > 1 and rng.random() < 0.4:
+            cuts = sorted(rng.sample(range(1, 97), len(c.vertices) - 2))
+            obj["times"] = [0.0] + [k / 97 for k in cuts] + [1.0]
+        support.append({"curve": obj, "w": rng.uniform(0.1, 2.0)})
+    return {"support": support}
+
+
+def _diagnostics(s, plan, f):
+    """Every plan diagnostic on ``s``, as one repr: floats by their bits."""
+    out = [
+        barycenter(s, plan, 0).values,
+        barycenter(s, plan, 1).values,
+        compression(s, plan),
+        compression(s, plan, 7),
+        parametric_barycenter(s, plan, 1, 5).values,
+        [energy(s, plan, q) for q in (1.5, 2.0, 3.7, math.inf)],
+        is_test_plan(s, plan, 2.0),
+        plan_derivation(s, plan, f),
+        derivation_norm_bound(s, plan, f),
+        w_certificate(s, f, {v: 1.0 for v in s.vertices}, [plan]),
+    ]
+    return repr(out)
+
+
+def test_a_json_plan_and_a_plan_of_its_curves_agree_bit_for_bit():
+    rng = random.Random(97)
+    for _ in range(6):
+        s = random_connected_space(rng, rng.randint(3, 8), extra_edges=3)
+        f = random_function(rng, s)
+        obj = _mixed_plan_json(rng, s)
+        plan = plan_from_json(s, obj)
+        rebuilt = Plan(tuple(plan.support))
+        assert rebuilt == plan and hash(rebuilt) == hash(plan) and repr(rebuilt) == repr(plan)
+        assert _diagnostics(s, plan, f) == _diagnostics(s, rebuilt, f)
+
+
+def test_a_plan_indexes_its_support_once(monkeypatch):
+    calls = []
+    indices = curve_module._indices
+    monkeypatch.setattr(curve_module, "_indices", lambda *a: calls.append(1) or indices(*a))
+    rng = random.Random(101)
+    s = grid_space(4, 4)
+    f = random_function(rng, s)
+    obj = _mixed_plan_json(rng, s)
+
+    def diagnose(plan):
+        is_test_plan(s, plan, 2.0)
+        barycenter(s, plan, 1)
+        plan_derivation(s, plan, f)
+        derivation_norm_bound(s, plan, f)
+
+    calls.clear()  # random_edge_walk makes its curves one by one
+    plan = plan_from_json(s, obj)
+    assert len(calls) == 1  # at parse
+    diagnose(plan)
+    assert len(calls) == 1
+    built = Plan(tuple(plan.support))
+    diagnose(built)
+    diagnose(built)
+    assert len(calls) == 2
+    # a plan read on another space keeps its own table
+    other = grid_space(4, 4)
+    barycenter(other, plan)
+    barycenter(other, plan)
+    assert len(calls) == 4 and plan._kept[0] is s

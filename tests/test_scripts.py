@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["p_dependence_probe.py"],
         ["distance_ladder.py", "--max-grid", "6"],
         ["modulus_ladder.py", "--max-grid", "5"],
+        ["json_ladder.py", "--max-grid", "5"],
     ],
     ids=lambda argv: argv[0],
 )
